@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/trace/... ./internal/service/... ./internal/store/... ./internal/fleet/...
+	$(GO) test -race ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/service/... ./internal/store/... ./internal/fleet/...
 
 # bench renders every figure once (-benchtime=1x) plus the event-kernel
 # microbenchmarks, gates against the committed BENCH_kernel.json (>15%

@@ -46,9 +46,9 @@ var baselineText string
 
 // result is one parsed benchmark line.
 type result struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
+	Name       string  `json:"name"`
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
 	// Not omitempty: allocs_per_op == 0 is the kernel's headline claim.
 	BytesPerOp  float64            `json:"bytes_per_op"`
 	AllocsPerOp float64            `json:"allocs_per_op"`
@@ -272,11 +272,11 @@ func main() {
 		*out, len(rep.Results), rep.TotalNs/1e9, rep.BaselineNs/1e9, rep.TotalSpeedup)
 
 	// The flight recorder's acceptance bar: the churn loop with one record
-	// per iteration (denser than any real simulation — measured app runs
-	// record one flight event per 3-6 fired engine events) must stay within
-	// 5% of the identical loop with a nil recorder. Both variants run
-	// back-to-back in one `go test` process so machine noise largely
-	// cancels out of the ratio.
+	// per 4 fired engine events (sync-heavy app runs record denser, one per
+	// 1.7-2.9, since the cores record their sync instructions too; DESIGN.md
+	// §13) must stay within 5% of the identical loop with a nil recorder.
+	// Both variants run back-to-back in one `go test` process so machine
+	// noise largely cancels out of the ratio.
 	bare, flight := find(rep.Results, "EngineChurnBare"), find(rep.Results, "EngineChurnFlight")
 	if bare != nil && flight != nil && bare.NsPerOp > 0 {
 		overhead := 100 * (flight.NsPerOp/bare.NsPerOp - 1)

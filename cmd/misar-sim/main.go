@@ -40,6 +40,10 @@ import (
 	"misar/internal/workload"
 )
 
+// traceCapacity is the flight-ring size per shard that -trace-out selects:
+// the rings are the protocol trace, so they must hold the whole run.
+const traceCapacity = 1_000_000
+
 func main() {
 	appName := flag.String("app", "streamcluster", "benchmark name (-list to enumerate)")
 	tiles := flag.Int("tiles", 16, "core count (<= 64)")
@@ -136,10 +140,10 @@ func main() {
 
 	start := time.Now()
 	m := machine.New(cfg)
-	var buf *trace.Buffer
 	if *traceOut != "" {
-		buf = trace.NewBuffer(1_000_000)
-		m.AttachTracer(buf)
+		for _, f := range m.Flights {
+			f.Resize(traceCapacity)
+		}
 	}
 	arena := syncrt.NewArena(0x1000000)
 	m.SpawnAll(cfg.Tiles, app.Build(arena, cfg.Tiles, lib))
@@ -203,8 +207,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "misar-sim:", err)
 			os.Exit(1)
 		}
-		events := buf.Events()
-		if err := trace.WriteChrome(f, events); err != nil {
+		d := m.FlightDump()
+		if err := obs.WriteChrome(f, d.Events); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, "misar-sim:", err)
 			os.Exit(1)
@@ -213,7 +217,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "misar-sim:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace          wrote %s (%d events, %d dropped)\n", *traceOut, len(events), buf.Dropped)
+		fmt.Printf("trace          wrote %s (%d events, %d dropped)\n", *traceOut, len(d.Events), d.Total-uint64(len(d.Events)))
 	}
 
 	if *verbose {

@@ -1,7 +1,9 @@
 package misar_test
 
 import (
+	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"misar"
@@ -24,8 +26,9 @@ func TestBloomConfigThroughFacade(t *testing.T) {
 
 func TestTracerThroughFacade(t *testing.T) {
 	m := misar.New(misar.MSAOMU(4, 2))
-	buf := misar.NewTraceBuffer(10_000)
-	m.AttachTracer(buf)
+	for _, f := range m.Flights {
+		f.Resize(10_000)
+	}
 	arena := misar.NewArena(0x100000)
 	lock := arena.Mutex()
 	lib := misar.HWLib()
@@ -39,21 +42,30 @@ func TestTracerThroughFacade(t *testing.T) {
 	if _, err := m.Run(misar.RunDeadline); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("tracer recorded nothing")
+	evs := m.FlightEvents()
+	if len(evs) == 0 {
+		t.Fatal("flight stream recorded nothing")
 	}
-	// The timeline must contain the lock request and its response.
+	// The timeline must contain the lock request and its response, and the
+	// core's issue/complete pair must render as a Chrome duration event.
 	var sawReq, sawResp bool
-	for _, ev := range buf.Events() {
-		switch string(ev.Kind) {
-		case "req":
+	for _, ev := range evs {
+		switch ev.Kind.String() {
+		case "msa-req":
 			sawReq = true
-		case "resp":
+		case "msa-resp":
 			sawResp = true
 		}
 	}
 	if !sawReq || !sawResp {
 		t.Fatalf("timeline incomplete: req=%v resp=%v", sawReq, sawResp)
+	}
+	var buf bytes.Buffer
+	if err := misar.WriteChromeTrace(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"ph": "X"`) {
+		t.Fatalf("chrome trace has no duration event:\n%s", buf.String())
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"misar/internal/metrics"
 	"misar/internal/obs"
 	"misar/internal/sim"
-	"misar/internal/trace"
 )
 
 // Config selects the accelerator variant under evaluation.
@@ -180,7 +179,6 @@ type Slice struct {
 	nbtc    int    // next-bit-to-check fairness register (one per slice)
 	tick    uint64 // op counter for LRU standby reclaim
 	stats   Stats
-	tracer  *trace.Buffer // nil unless protocol tracing is attached
 	flight  *obs.FlightRecorder
 
 	// inj/check are the fault-injection and safety-invariant hooks. Both
@@ -211,13 +209,10 @@ type sliceMetrics struct {
 	grants, revokes      *metrics.Counter
 }
 
-// SetTracer attaches a protocol-event recorder (nil detaches).
-func (s *Slice) SetTracer(b *trace.Buffer) { s.tracer = b }
-
 // SetFlight attaches the machine's always-on flight recorder (nil detaches).
-// Unlike the tracer — opt-in, unbounded, rich — the flight ring is fixed-size
-// and allocation-free, so it stays attached on every run and its tail is
-// dumped into liveness/safety/panic errors.
+// The ring is the slice's only protocol-event log: allocation-free, so it
+// stays attached on every run; its tail is dumped into liveness/safety/panic
+// errors, and an enlarged ring is the protocol trace (cmd/misar-trace).
 func (s *Slice) SetFlight(f *obs.FlightRecorder) { s.flight = f }
 
 // SetInjector attaches the fault injector (nil detaches).
@@ -265,17 +260,6 @@ func (s *Slice) fl(kind obs.FlightKind, addr memory.Addr, core int, arg uint32) 
 	s.flight.Record(obs.FlightEvent{
 		At: s.engine.Now(), Kind: kind, Tile: int16(s.tile),
 		Core: int16(core), Addr: addr, Arg: arg,
-	})
-}
-
-// trace records a protocol event when tracing is attached.
-func (s *Slice) trace(kind trace.Kind, addr memory.Addr, core int, detail string) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Record(trace.Event{
-		At: s.engine.Now(), Tile: s.tile, Kind: kind,
-		Addr: addr, Core: core, Detail: detail,
 	})
 }
 
@@ -366,7 +350,6 @@ func (s *Slice) tryAllocate(typ isa.SyncType, addr memory.Addr) *entry {
 		s.stats.OMUSteers++
 		s.met.omuSteers.Inc()
 		s.fl(obs.FSteer, addr, -1, uint32(typ))
-		s.trace(trace.Steer, addr, -1, "forced steer (fault)")
 		return nil
 	}
 	e := s.boundEntry(typ, addr)
@@ -394,7 +377,6 @@ func (s *Slice) tryAllocate(typ isa.SyncType, addr memory.Addr) *entry {
 	*e = entry{valid: true, typ: typ, addr: addr, owner: -1, standbyCore: -1, pinCore: -1,
 		lastUse: s.tick, waiters: e.waiters}
 	s.fl(obs.FAlloc, addr, -1, uint32(typ))
-	s.trace(trace.EntryAlloc, addr, -1, typ.String())
 	// Invariant: no thread may be active in the software path of addr while
 	// an MSA entry goes live for it (OMU exclusivity, PAPER.md §3.2).
 	s.check.HWAlloc(addr)
@@ -477,7 +459,6 @@ func (s *Slice) dealloc(e *entry) {
 	s.stats.Deallocs++
 	s.met.deallocs.Inc()
 	s.fl(obs.FFree, e.addr, -1, uint32(e.typ))
-	s.trace(trace.EntryFree, e.addr, -1, e.typ.String())
 	e.valid = false
 }
 
@@ -485,10 +466,6 @@ func (s *Slice) respond(core int, op isa.SyncOp, addr memory.Addr, res isa.Resul
 	if res == isa.Abort {
 		s.stats.Aborts++
 		s.met.aborts.Inc()
-		s.trace(trace.Abort, addr, core, op.String())
-	}
-	if s.tracer != nil { // guard: the detail concat allocates
-		s.trace(trace.SyncResp, addr, core, op.String()+" "+res.String())
 	}
 	s.fl(obs.FMsaResp, addr, core, uint32(op)<<8|uint32(res))
 	s.send(core, s.respPool.Get(Resp{Op: op, Addr: addr, Core: core, Result: res, Reason: reason}))
@@ -555,7 +532,6 @@ func (s *Slice) HandleReq(r *Req) {
 	}
 	s.lastReq = s.engine.Now()
 	s.fl(obs.FMsaReq, r.Addr, r.Core, uint32(r.Op))
-	s.trace(trace.SyncReq, r.Addr, r.Core, r.Op.String())
 	// Fault site: spurious un-steer — run a standby-reclaim sweep with no
 	// capacity pressure, revoking a silent holder's re-acquire privilege.
 	if s.inj.ForceEvict() {
@@ -594,7 +570,6 @@ func (s *Slice) handleLock(r *Req) {
 		if e == nil {
 			s.stats.LockSW++
 			s.omuInc(r.Addr)
-			s.trace(trace.Steer, r.Addr, r.Core, "lock to software")
 			s.respond(r.Core, isa.OpLock, r.Addr, isa.Fail, ReasonNone)
 			return
 		}
@@ -635,7 +610,6 @@ func (s *Slice) enqueueLocker(e *entry, core int, respOp isa.SyncOp, respAddr me
 			s.stats.Revokes++
 			s.met.revokes.Inc()
 			s.fl(obs.FRevoke, e.addr, e.standbyCore, 0)
-			s.trace(trace.Revoke, e.addr, e.standbyCore, "revoke before grant")
 			s.dir.Revoke(memory.LineOf(e.addr), func() { s.afterRevoke(e) })
 			return
 		}
@@ -697,7 +671,6 @@ func (s *Slice) startReclaim(except *entry) {
 	s.stats.Revokes++
 	s.met.revokes.Inc()
 	s.fl(obs.FReclaim, victim.addr, victim.standbyCore, uint32(victim.typ))
-	s.trace(trace.EntryRecl, victim.addr, victim.standbyCore, "reclaim start")
 	s.dir.Revoke(memory.LineOf(victim.addr), func() { s.afterRevoke(victim) })
 }
 
@@ -744,7 +717,6 @@ func (s *Slice) promote(e *entry) {
 		s.stats.Grants++
 		s.met.grants.Inc()
 		s.fl(obs.FGrant, e.addr, next, 0)
-		s.trace(trace.Grant, e.addr, next, "block grant")
 		s.dir.GrantExclusive(memory.LineOf(e.addr), next, func() {
 			e.grantsOut--
 			if e.draining && e.grantsOut == 0 && !e.revoking {
@@ -851,7 +823,6 @@ func (s *Slice) maybeRetire(e *entry) {
 		e.standby = true
 		s.met.standbys.Inc()
 		s.fl(obs.FStandby, e.addr, e.standbyCore, uint32(e.typ))
-		s.trace(trace.EntryStand, e.addr, e.standbyCore, "standby")
 		if s.cfg.OMUEnabled && !s.hasFreeSlot() {
 			s.startReclaim(e)
 		}
@@ -875,7 +846,6 @@ func (s *Slice) handleLockSilent(r *Req) {
 	s.stats.SilentLocks++
 	s.met.silentLocks.Inc()
 	s.fl(obs.FSilent, r.Addr, r.Core, 0)
-	s.trace(trace.Silent, r.Addr, r.Core, "silent acquire")
 	e.owner = r.Core
 	e.standby = false
 	// No response: the core already completed its LOCK locally (§5), and it

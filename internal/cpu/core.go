@@ -12,7 +12,6 @@ import (
 	"misar/internal/obs"
 	"misar/internal/sim"
 	"misar/internal/stats"
-	"misar/internal/trace"
 )
 
 // Mode selects how synchronization instructions are implemented.
@@ -128,7 +127,6 @@ type Core struct {
 
 	stats    Stats
 	lat      [numLatKinds]stats.Histogram
-	tracer   *trace.Buffer       // nil unless tracing is attached
 	metrics  *metrics.Registry   // nil unless the machine is metered
 	check    *fault.Checker      // nil unless invariant checking is enabled
 	injector *fault.Injector     // nil unless fault injection is enabled
@@ -137,9 +135,6 @@ type Core struct {
 
 // Latency returns the core's latency histogram for one operation class.
 func (c *Core) Latency(k LatencyKind) *stats.Histogram { return &c.lat[k] }
-
-// SetTracer attaches an event recorder to this core (nil detaches).
-func (c *Core) SetTracer(b *trace.Buffer) { c.tracer = b }
 
 // SetMetrics attaches the machine's metrics registry (nil detaches). The
 // core itself records through its Stats struct either way; the registry is
@@ -165,18 +160,22 @@ func (c *Core) SetReqPool(p *corepkg.ReqPool) { c.reqPool = p }
 // Env.Faults so the TM runtime can roll its spurious-abort site.
 func (c *Core) SetInjector(i *fault.Injector) { c.injector = i }
 
-// SetFlight attaches this core's shard flight recorder (nil detaches),
-// exposed to thread code via Env.Flight for transaction begin/commit/abort
-// events.
+// SetFlight attaches this core's shard flight recorder (nil detaches). The
+// core records its synchronization instructions' issue and completion and
+// its context switches there; thread code reaches the same ring via
+// Env.Flight for transaction begin/commit/abort events.
 func (c *Core) SetFlight(f *obs.FlightRecorder) { c.flight = f }
 
-func (c *Core) trace(kind trace.Kind, addr memory.Addr, detail string) {
-	if c.tracer == nil {
+// fl records one event of this core's instruction stream: a single
+// ring-slot store, no allocations (a bare core without a ring pays one
+// comparison).
+func (c *Core) fl(kind obs.FlightKind, addr memory.Addr, arg uint32) {
+	if c.flight == nil {
 		return
 	}
-	c.tracer.Record(trace.Event{
-		At: c.engine.Now(), Tile: c.id, Kind: kind,
-		Addr: addr, Core: c.id, Detail: detail,
+	c.flight.Record(obs.FlightEvent{
+		At: c.engine.Now(), Kind: kind, Tile: int16(c.id),
+		Core: int16(c.id), Addr: addr, Arg: arg,
 	})
 }
 
@@ -288,7 +287,7 @@ func (c *Core) dispatch(t *Thread, r threadReq) {
 		c.l1.Access(r.addr, coherence.AccRMW, 0, c.rmwFn, c.memDone)
 	case reqSync:
 		c.stats.SyncIssued[r.op]++
-		c.trace(trace.Issue, r.addr, r.op.String())
+		c.fl(obs.FIssue, r.addr, uint32(r.op))
 		c.handleSync(t, r)
 	}
 }
@@ -397,9 +396,7 @@ func (c *Core) HandleResp(r *corepkg.Resp) {
 	c.stats.SyncStallCycles += elapsed
 	c.stats.SyncStallByKind[latKindOf(o.op)] += elapsed
 	c.lat[latKindOf(o.op)].Observe(uint64(elapsed))
-	if c.tracer != nil { // guard: the detail concat allocates
-		c.trace(trace.Complete, o.addr, o.op.String()+" "+r.Result.String())
-	}
+	c.fl(obs.FComplete, o.addr, uint32(o.op)<<8|uint32(r.Result))
 	if r.ClearHWSync {
 		// Handoff: drop the bit *and* any in-flight grant entitlement for
 		// this line — a grant still in the network belongs to our previous
@@ -442,7 +439,7 @@ func (c *Core) resumeSyncResult(t *Thread, res isa.Result) {
 // core: HWSync bits (a new thread must not silently acquire the old
 // thread's locks) and pending grant entitlements.
 func (c *Core) contextSwitch() {
-	c.trace(trace.CtxSwitch, 0, "context switch")
+	c.fl(obs.FCtxSwitch, 0, 0)
 	c.gen++
 	c.l1.ClearAllHWSync()
 	for k := range c.expectGrant {

@@ -1,9 +1,9 @@
 // Package fault is a seeded, deterministic fault injector plus a set of
 // runtime safety-invariant checkers for the MiSAR machine. Both follow the
-// nil-receiver-safe hook contract established by metrics.Registry and
-// trace.Buffer: every method is safe to call on a nil receiver and does
-// nothing, so an uninstrumented machine pays exactly one pointer comparison
-// per potential injection or check site.
+// nil-receiver-safe hook contract of the metrics instruments and
+// obs.FlightRecorder: every method is safe to call on a nil receiver and
+// does nothing, so an uninstrumented machine pays exactly one pointer
+// comparison per potential injection or check site.
 //
 // The injector perturbs the machine at the MSA/OMU boundary the paper cares
 // about (PAPER.md §3-4): forced OMU steers, artificial capacity reduction,
@@ -32,12 +32,12 @@ type Plan struct {
 	CapRate   uint32 // artificial capacity reduction: refuse a free entry
 	EvictRate uint32 // spurious un-steer: evict/revoke standby entries
 
-	AckRate  uint32 // delay an MSA acknowledgment (slice -> core response)
-	AckMax   uint32 // max extra cycles per delayed ack
-	NoCRate  uint32 // jitter a NoC message's route start
-	NoCMax   uint32 // max extra cycles per jittered message
-	CohRate  uint32 // delay a coherence directory reply
-	CohMax   uint32 // max extra cycles per delayed reply
+	AckRate uint32 // delay an MSA acknowledgment (slice -> core response)
+	AckMax  uint32 // max extra cycles per delayed ack
+	NoCRate uint32 // jitter a NoC message's route start
+	NoCMax  uint32 // max extra cycles per jittered message
+	CohRate uint32 // delay a coherence directory reply
+	CohMax  uint32 // max extra cycles per delayed reply
 
 	// TMAbortRate forces spurious TM aborts: a commit phase that acquired
 	// its locks and would have committed aborts anyway (internal/tm rolls
@@ -109,14 +109,14 @@ func (p Plan) Without(site string) Plan {
 func DefaultPlan(seed uint64) Plan {
 	return Plan{
 		Seed:      seed,
-		SteerRate: 2048,  // ~3% of allocatable acquires steered
-		CapRate:   2048,  // ~3% of free-entry allocations refused
-		EvictRate: 1024,  // ~1.5% of MSA requests trigger a reclaim sweep
-		AckRate:   4096,  // ~6% of acks delayed
+		SteerRate: 2048, // ~3% of allocatable acquires steered
+		CapRate:   2048, // ~3% of free-entry allocations refused
+		EvictRate: 1024, // ~1.5% of MSA requests trigger a reclaim sweep
+		AckRate:   4096, // ~6% of acks delayed
 		AckMax:    200,
-		NoCRate:   4096,  // ~6% of messages jittered
+		NoCRate:   4096, // ~6% of messages jittered
 		NoCMax:    64,
-		CohRate:   4096,  // ~6% of directory replies delayed
+		CohRate:   4096, // ~6% of directory replies delayed
 		CohMax:    100,
 		// ~12% of lock-holding TM commit attempts spuriously aborted. The
 		// site only fires on runs using the TM backend (internal/tm); lock
@@ -127,10 +127,10 @@ func DefaultPlan(seed uint64) Plan {
 
 // Counts is the per-site tally of what the injector actually did.
 type Counts struct {
-	Steers, CapSteals, Evicts   uint64
+	Steers, CapSteals, Evicts     uint64
 	AckDelays, Jitters, CohDelays uint64
-	TMAborts                    uint64
-	DelayCycles                 uint64 // total extra cycles across all delay sites
+	TMAborts                      uint64
+	DelayCycles                   uint64 // total extra cycles across all delay sites
 }
 
 // Total returns the number of discrete faults injected.

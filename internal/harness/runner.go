@@ -155,18 +155,19 @@ func (r *Run) Report() *metrics.Report {
 }
 
 // Flight blocks until the run completes and returns the machine's
-// flight-recorder dump: the events embedded in a structured failure
-// (machine.FlightOf), or the finished machine's ring on success. Nil for
-// store replays and micro runs, which carry no machine.
-func (r *Run) Flight() []obs.FlightEvent {
+// flight-recorder dump: the one embedded in a structured failure
+// (machine.FlightOf), or the finished machine's rings on success
+// (Machine.FlightDump, every shard). Empty for store replays and micro
+// runs, which carry no machine.
+func (r *Run) Flight() obs.FlightDump {
 	<-r.done
-	if f := machine.FlightOf(r.err); f != nil {
-		return f
+	if d, ok := machine.FlightOf(r.err); ok {
+		return d
 	}
 	if r.m != nil {
-		return r.m.Flight.Events()
+		return r.m.FlightDump()
 	}
-	return nil
+	return obs.FlightDump{}
 }
 
 // NewRunner returns a Runner executing at most workers simulations

@@ -56,9 +56,13 @@ func TestFlightDumpMatchesWatchdogDiagnosis(t *testing.T) {
 	if !errors.As(err, &le) {
 		t.Fatalf("want *machine.LivenessError, got %T: %v", err, err)
 	}
-	flight := machine.FlightOf(err)
-	if len(flight) == 0 {
+	dump, ok := machine.FlightOf(err)
+	flight := dump.Events
+	if !ok || len(flight) == 0 {
 		t.Fatal("liveness error carries an empty flight dump")
+	}
+	if dump.Total < uint64(len(flight)) {
+		t.Errorf("dump total %d below its %d retained events", dump.Total, len(flight))
 	}
 	if le.Diag == nil || len(le.Diag.Blocked) == 0 {
 		t.Fatal("no watchdog diagnosis to cross-check against")
@@ -122,8 +126,8 @@ func TestFlightDumpMatchesWatchdogDiagnosis(t *testing.T) {
 }
 
 // TestFlightRecorderAlwaysOn checks a healthy run records flight events too
-// (the recorder is not failure-gated), and that they render through the
-// trace conversion without loss.
+// (the recorder is not failure-gated), the cores' instruction events
+// included.
 func TestFlightRecorderAlwaysOn(t *testing.T) {
 	const tiles = 4
 	cfg := machine.MSAOMU(tiles, 2)
@@ -143,17 +147,19 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
-	evs := m.Flight.Events()
+	evs := m.FlightEvents()
 	if len(evs) == 0 {
 		t.Fatal("clean run recorded no flight events")
 	}
-	var reqs, cohs int
+	var reqs, cohs, issues int
 	for _, ev := range evs {
 		switch ev.Kind {
 		case obs.FMsaReq:
 			reqs++
 		case obs.FCoh:
 			cohs++
+		case obs.FIssue:
+			issues++
 		}
 	}
 	if reqs == 0 {
@@ -162,7 +168,7 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 	if cohs == 0 {
 		t.Error("no coherence deliveries in the flight ring")
 	}
-	if conv := obs.TraceEvents(evs); len(conv) != len(evs) {
-		t.Errorf("trace conversion lost events: %d -> %d", len(evs), len(conv))
+	if issues != reqs {
+		t.Errorf("%d sync instructions issued, %d MSA requests delivered; want equal (no silent path here)", issues, reqs)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"misar/internal/obs"
 	"misar/internal/sim"
 	"misar/internal/stats"
-	"misar/internal/trace"
 )
 
 // cohMsgNames decodes coherence.MsgKind values for the flight recorder's
@@ -217,15 +216,16 @@ type Machine struct {
 	Injector *fault.Injector
 	// Checker records safety-invariant violations (nil unless Cfg.Invariants).
 	Checker *fault.Checker
-	// Flight is the always-on flight recorder: a fixed ring of the most
-	// recent protocol events (MSA ops, OMU steers, entry lifecycle,
-	// coherence deliveries), dumped into LivenessError/SafetyError/
-	// PanicError so failures carry their own last moments. It is not a
-	// Config knob — Config stays a pure value for memo/store fingerprints —
-	// and recording is allocation-free, so every machine carries one.
-	// Sharded machines carry one single-writer ring per shard (Flights;
-	// Flight aliases shard 0's) and FlightEvents merges them by timestamp.
-	Flight  *obs.FlightRecorder
+	// Flights are the always-on flight recorders, one single-writer ring
+	// per shard (one on a serial machine): the machine's only protocol-event
+	// stream — sync instruction issue/completion and context switches at
+	// the cores, MSA ops, OMU steers, entry lifecycle, coherence deliveries,
+	// transactions. FlightDump merges them by timestamp; LivenessError/
+	// SafetyError/PanicError embed that dump so failures carry their own
+	// last moments, and resizing the rings before Run (obs.FlightRecorder.
+	// Resize) turns them into a full protocol trace. They are not a Config
+	// knob — Config stays a pure value for memo/store fingerprints — and
+	// recording is allocation-free, so every machine carries them.
 	Flights []*obs.FlightRecorder
 
 	// regs holds the per-shard metric registries (len 1 serial); Metrics
@@ -283,11 +283,11 @@ func (m *Machine) killThreads() {
 }
 
 // FlightEvents merges the per-shard flight-recorder rings into one
-// timestamp-ordered dump (stable by shard at equal cycles). On a serial
-// machine it is exactly Flight.Events().
+// timestamp-ordered stream (stable by shard at equal cycles). On a serial
+// machine it is exactly Flights[0].Events().
 func (m *Machine) FlightEvents() []obs.FlightEvent {
 	if len(m.Flights) == 1 {
-		return m.Flight.Events()
+		return m.Flights[0].Events()
 	}
 	var all []obs.FlightEvent
 	for _, f := range m.Flights {
@@ -295,6 +295,17 @@ func (m *Machine) FlightEvents() []obs.FlightEvent {
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
 	return all
+}
+
+// FlightDump snapshots the flight stream: FlightEvents plus the number of
+// events ever recorded, summed over the shards' rings, so a dump says how
+// much the rings overwrote (Total - len(Events)).
+func (m *Machine) FlightDump() obs.FlightDump {
+	d := obs.FlightDump{Schema: obs.FlightDumpSchema, Events: m.FlightEvents()}
+	for _, f := range m.Flights {
+		d.Total += f.Total()
+	}
+	return d
 }
 
 // shardMap partitions the mesh into contiguous row bands, one per shard:
@@ -370,7 +381,6 @@ func New(cfg Config) *Machine {
 	for s := range m.Flights {
 		m.Flights[s] = obs.NewFlightRecorder(0)
 	}
-	m.Flight = m.Flights[0]
 	var ideal *cpu.Ideal
 	if cfg.CPU.Mode == cpu.ModeIdeal {
 		ideal = cpu.NewIdeal()
@@ -567,9 +577,9 @@ func (m *Machine) RunCtx(ctx context.Context, deadline sim.Time) (_ sim.Time, er
 			// with the faulting shard's own stack.
 			m.killThreads()
 			if sp, ok := r.(*sim.ShardPanic); ok {
-				err = &PanicError{Value: sp.Value, Stack: sp.Stack, Flight: m.FlightEvents()}
+				err = &PanicError{Value: sp.Value, Stack: sp.Stack, Flight: m.FlightDump()}
 			} else {
-				err = &PanicError{Value: r, Stack: string(debug.Stack()), Flight: m.FlightEvents()}
+				err = &PanicError{Value: r, Stack: string(debug.Stack()), Flight: m.FlightDump()}
 			}
 		}
 	}()
@@ -610,14 +620,14 @@ func (m *Machine) RunCtx(ctx context.Context, deadline sim.Time) (_ sim.Time, er
 	}
 	if !drained {
 		reason := fmt.Sprintf("machine: deadline %d reached with work pending", deadline)
-		return m.Now(), &LivenessError{Reason: reason, Diag: m.Diagnose(reason), Flight: m.FlightEvents()}
+		return m.Now(), &LivenessError{Reason: reason, Diag: m.Diagnose(reason), Flight: m.FlightDump()}
 	}
 	if r := m.RunningThreads(); r > 0 {
 		reason := fmt.Sprintf("machine: quiesced with %d threads blocked (deadlock)", r)
-		return m.Now(), &LivenessError{Reason: reason, Diag: m.Diagnose(reason), Flight: m.FlightEvents()}
+		return m.Now(), &LivenessError{Reason: reason, Diag: m.Diagnose(reason), Flight: m.FlightDump()}
 	}
 	if v := m.Checker.Violations(); len(v) > 0 {
-		return m.Now(), &SafetyError{Violations: v, Flight: m.FlightEvents()}
+		return m.Now(), &SafetyError{Violations: v, Flight: m.FlightDump()}
 	}
 	return m.Now(), nil
 }
@@ -802,21 +812,6 @@ func (m *Machine) MetricsReport(kind, app, lib string) *metrics.Report {
 		Tiles:   m.Cfg.Tiles,
 		Cycles:  uint64(m.Now()),
 		Metrics: m.Metrics.Snapshot(),
-	}
-}
-
-// AttachTracer records protocol events from every MSA slice and core into
-// b (see cmd/misar-trace). Pass nil to detach. The trace buffer is a shared
-// single-writer structure, so tracing requires the serial kernel.
-func (m *Machine) AttachTracer(b *trace.Buffer) {
-	if b != nil && m.Group != nil {
-		panic("machine: tracing requires a serial machine (Shards <= 1)")
-	}
-	for _, sl := range m.Slices {
-		sl.SetTracer(b)
-	}
-	for _, c := range m.Cores {
-		c.SetTracer(b)
 	}
 }
 

@@ -348,55 +348,6 @@ func TestSuspendResumeMigration(t *testing.T) {
 	}
 }
 
-// TestMigratedOwnerUnlockAbort: the owner migrates mid-critical-section and
-// unlocks from another core; waiters must be aborted to software and still
-// make progress.
-func TestMigratedOwnerUnlockAbort(t *testing.T) {
-	m := New(MSAOMU(4, 2))
-	arena := syncrt.NewArena(0x100000)
-	lock := arena.Mutex()
-	counter := arena.Data(1)
-	lib := syncrt.HWLib()
-	qn := []memory.Addr{arena.QNode(), arena.QNode(), arena.QNode()}
-
-	t0 := m.Complex.Spawn(0, func(e cpu.Env) {
-		rt := lib.Bind(e, qn[0])
-		rt.Lock(lock)
-		e.Compute(5000) // hold while being migrated
-		e.Store(counter, e.Load(counter)+1)
-		rt.Unlock(lock) // executed from core 3 after migration
-	})
-	waiter := func(i int) func(cpu.Env) {
-		return func(e cpu.Env) {
-			rt := lib.Bind(e, qn[i])
-			e.Compute(300)
-			rt.Lock(lock)
-			e.Store(counter, e.Load(counter)+1)
-			rt.Unlock(lock)
-		}
-	}
-	t1 := m.Complex.Spawn(1, waiter(1))
-	t2 := m.Complex.Spawn(2, waiter(2))
-	m.Complex.Start(t0, 0, 0)
-	m.Complex.Start(t1, 1, 0)
-	m.Complex.Start(t2, 2, 0)
-	// Migrate the owner mid-hold: it parks during its Compute, resumes on 3.
-	m.Engine.At(1000, func() {
-		m.Complex.Suspend(t0, func() {
-			m.Engine.After(100, func() { m.Complex.Resume(t0, 3) })
-		})
-	})
-	if _, err := m.Run(deadline); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Store.Load(counter); got != 3 {
-		t.Fatalf("counter = %d, want 3", got)
-	}
-	if m.MSAStats().Aborts == 0 {
-		t.Fatal("expected waiter aborts from the migrated-owner unlock")
-	}
-}
-
 // TestBarrierSuspensionFallsBackToSoftware suspends a thread waiting at a
 // hardware barrier; everyone must fall back to software and still complete.
 func TestBarrierSuspensionFallsBackToSoftware(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 
 	"misar/internal/cpu"
 	"misar/internal/memory"
+	"misar/internal/obs"
 	"misar/internal/sim"
 	"misar/internal/syncrt"
 )
@@ -254,26 +255,53 @@ func TestShardedPanicBecomesStructuredError(t *testing.T) {
 }
 
 // TestShardedFlightEventsMerged: the per-shard flight rings merge into one
-// timestamp-ordered dump spanning tiles from different shards.
+// timestamp-ordered dump spanning tiles from different shards. Resized
+// rings trace a sharded run whole: every shard's cores record their
+// instruction stream into their own ring, so no serial-only restriction
+// applies.
 func TestShardedFlightEventsMerged(t *testing.T) {
-	m := New(shardedConfig(16, 4))
-	shardWorkload(m, 16, 3, 2)
-	if _, err := m.Run(deadline); err != nil {
-		t.Fatal(err)
-	}
-	evs := m.FlightEvents()
-	if len(evs) == 0 {
-		t.Fatal("no flight events recorded")
-	}
-	shardsSeen := map[int]bool{}
-	for i, e := range evs {
-		if i > 0 && evs[i-1].At > e.At {
-			t.Fatalf("flight events out of order at %d: %d then %d", i, evs[i-1].At, e.At)
+	for _, c := range []struct {
+		shards, grow int
+	}{{4, 0}, {2, 100_000}} {
+		m := New(shardedConfig(16, c.shards))
+		for _, f := range m.Flights {
+			f.Resize(c.grow)
 		}
-		shardsSeen[m.ShardOf(int(e.Tile))] = true
-	}
-	if len(shardsSeen) != 4 {
-		t.Errorf("flight dump covers %d shards, want 4", len(shardsSeen))
+		shardWorkload(m, 16, 3, 2)
+		if _, err := m.Run(deadline); err != nil {
+			t.Fatal(err)
+		}
+		d := m.FlightDump()
+		evs := d.Events
+		if len(evs) == 0 {
+			t.Fatal("no flight events recorded")
+		}
+		shardsSeen := map[int]bool{}
+		issueShards := map[int]bool{}
+		var issues uint64
+		for i, e := range evs {
+			if i > 0 && evs[i-1].At > e.At {
+				t.Fatalf("shards=%d: flight events out of order at %d: %d then %d", c.shards, i, evs[i-1].At, e.At)
+			}
+			shardsSeen[m.ShardOf(int(e.Tile))] = true
+			if e.Kind == obs.FIssue {
+				issues++
+				issueShards[m.ShardOf(int(e.Tile))] = true
+			}
+		}
+		if len(shardsSeen) != c.shards {
+			t.Errorf("shards=%d: flight dump covers %d shards", c.shards, len(shardsSeen))
+		}
+		if c.grow == 0 {
+			continue
+		}
+		if d.Total != uint64(len(evs)) {
+			t.Fatalf("shards=%d: traced rings kept %d of %d events", c.shards, len(evs), d.Total)
+		}
+		if issues != m.SyncOps() || len(issueShards) != c.shards {
+			t.Errorf("shards=%d: %d issue events from %d shards, want all %d sync ops from every shard",
+				c.shards, issues, len(issueShards), m.SyncOps())
+		}
 	}
 }
 

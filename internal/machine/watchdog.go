@@ -26,23 +26,23 @@ import (
 )
 
 // FlightOf extracts the flight-recorder dump carried by a structured run
-// error (LivenessError, SafetyError, PanicError), or nil for other errors.
-// Callers get the machine's last protocol events without caring which
-// failure class produced them.
-func FlightOf(err error) []obs.FlightEvent {
+// error (LivenessError, SafetyError, PanicError); ok is false for other
+// errors. Callers get the machine's last protocol events without caring
+// which failure class produced them.
+func FlightOf(err error) (dump obs.FlightDump, ok bool) {
 	var le *LivenessError
 	if errors.As(err, &le) {
-		return le.Flight
+		return le.Flight, true
 	}
 	var se *SafetyError
 	if errors.As(err, &se) {
-		return se.Flight
+		return se.Flight, true
 	}
 	var pe *PanicError
 	if errors.As(err, &pe) {
-		return pe.Flight
+		return pe.Flight, true
 	}
-	return nil
+	return obs.FlightDump{}, false
 }
 
 // ThreadDiag describes one unfinished thread at diagnosis time.
@@ -358,8 +358,9 @@ type LivenessError struct {
 	Reason string
 	Diag   *Diagnosis
 	// Flight is the machine's flight-recorder tail at failure time: the
-	// last protocol events leading into the hang (see obs.FlightRecorder).
-	Flight []obs.FlightEvent
+	// last protocol events leading into the hang, with the count of events
+	// ever recorded (see Machine.FlightDump).
+	Flight obs.FlightDump
 }
 
 func (e *LivenessError) Error() string {
@@ -376,7 +377,7 @@ func (e *LivenessError) Error() string {
 type SafetyError struct {
 	Violations []fault.Violation
 	// Flight is the flight-recorder tail at completion (see LivenessError).
-	Flight []obs.FlightEvent
+	Flight obs.FlightDump
 }
 
 func (e *SafetyError) Error() string {
@@ -395,7 +396,7 @@ type PanicError struct {
 	Value any
 	Stack string
 	// Flight is the flight-recorder tail at the panic (see LivenessError).
-	Flight []obs.FlightEvent
+	Flight obs.FlightDump
 }
 
 func (e *PanicError) Error() string {

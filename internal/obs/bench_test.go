@@ -22,12 +22,13 @@ func BenchmarkFlightRecord(b *testing.B) {
 }
 
 // churnLoop is internal/sim's BenchmarkEngineChurn body with the flight
-// recorder attached at production density: real app runs record one flight
-// event per 3-6 fired engine events (streamcluster/fluidanimate at 8-32
-// tiles, Engine.Fired vs FlightRecorder.Total), and each iteration here
-// fires two, so recording every second iteration is one record per 4 fired
-// events. f == nil is the bare reference: the nil check is the exact
-// branch real call sites pay.
+// recorder attached: each iteration fires two engine events, so recording
+// every second iteration is one record per 4 fired events. Sync-heavy app
+// runs record denser than that, one flight event per 1.7-2.9 fired engine
+// events (streamcluster/fluidanimate at 8-32 tiles, Engine.Fired vs
+// FlightRecorder.Total, cores' issue/complete records included). f == nil
+// is the bare reference: the nil check is the exact branch real call sites
+// pay.
 func churnLoop(b *testing.B, f *FlightRecorder) {
 	e := sim.NewEngine()
 	nop := func(any) {}

@@ -1,16 +1,19 @@
-// Package obs is the serving-path observability layer: an always-on flight
-// recorder of recent simulator events, wall-clock span recording for
-// end-to-end request tracing, and trace-ID propagation through contexts.
+// Package obs is the observability layer: the flight recorder, the one
+// stream of simulator protocol events, plus wall-clock span recording for
+// end-to-end request tracing and trace-ID propagation through contexts.
 //
 // The two halves mirror the repo's two time domains. The FlightRecorder
 // lives inside one simulated machine and records *simulated-time* events
-// (MSA operations, OMU steers, coherence messages, NoC deliveries) into a
-// fixed ring with zero allocations, so the last moments before a liveness or
-// safety failure are always available post mortem. The span Recorder lives
-// in the serving processes and records *wall-clock* intervals (client
-// submit, queue wait, store lookup, simulation phases) tagged with a trace
-// ID minted at the edge, so one served job renders as a single timeline in
-// Perfetto (see trace.WriteChromeSpans).
+// (instruction issue and completion at the cores, MSA operations, OMU
+// steers, entry lifecycle, coherence deliveries, transactions) into a fixed
+// ring with zero allocations. It is always on, so the last moments before a
+// liveness or safety failure are always available post mortem; enlarged
+// with Resize, the same ring is the protocol trace that WriteChrome renders
+// for Perfetto. The span Recorder lives in the serving processes and
+// records *wall-clock* intervals (client submit, queue wait, store lookup,
+// simulation phases) tagged with a trace ID minted at the edge, so one
+// served job renders as a single timeline in Perfetto (see
+// trace.WriteChromeSpans).
 package obs
 
 import (
@@ -21,7 +24,6 @@ import (
 	"misar/internal/isa"
 	"misar/internal/memory"
 	"misar/internal/sim"
-	"misar/internal/trace"
 )
 
 // FlightKind classifies one flight-recorder event.
@@ -30,44 +32,50 @@ type FlightKind uint8
 // Flight event kinds. The Arg encodings are fixed per kind and documented
 // here; Detail decodes them for humans.
 const (
-	FNone    FlightKind = iota
-	FMsaReq             // MSA request delivered to a home slice; Arg = isa.SyncOp
-	FMsaResp            // MSA response delivered to a core; Arg = op<<8 | isa.Result
-	FMsaMsg             // MSA-to-MSA cond-protocol message; Arg = internal kind
-	FCoh                // coherence message delivered; Arg = coherence MsgKind
-	FSteer              // OMU steered an acquire to software; Arg = isa.SyncType
-	FCapSteer           // capacity steer (no entry allocatable); Arg = isa.SyncType
-	FAlloc              // MSA entry allocated; Arg = isa.SyncType
-	FFree               // MSA entry deallocated; Arg = isa.SyncType
-	FStandby            // entry entered standby; Arg = isa.SyncType
-	FReclaim            // standby entry reclaim started; Arg = isa.SyncType
-	FGrant              // HWSync block grant shipped; Core = grantee
-	FRevoke             // standby revocation issued
-	FSilent             // LOCK_SILENT recorded
-	FTxBegin            // TM transaction attempt began; Arg = attempt number (0 = first)
-	FTxCommit           // TM transaction committed; Arg = write-set size
-	FTxAbort            // TM transaction aborted; Arg = tm abort reason (see tm.AbortReason)
+	FNone      FlightKind = iota
+	FMsaReq               // MSA request delivered to a home slice; Arg = isa.SyncOp
+	FMsaResp              // MSA response delivered to a core; Arg = op<<8 | isa.Result
+	FMsaMsg               // MSA-to-MSA cond-protocol message; Arg = internal kind
+	FCoh                  // coherence message delivered; Arg = coherence MsgKind
+	FSteer                // OMU steered an acquire to software; Arg = isa.SyncType
+	FCapSteer             // capacity steer (no entry allocatable); Arg = isa.SyncType
+	FAlloc                // MSA entry allocated; Arg = isa.SyncType
+	FFree                 // MSA entry deallocated; Arg = isa.SyncType
+	FStandby              // entry entered standby; Arg = isa.SyncType
+	FReclaim              // standby entry reclaim started; Arg = isa.SyncType
+	FGrant                // HWSync block grant shipped; Core = grantee
+	FRevoke               // standby revocation issued
+	FSilent               // LOCK_SILENT recorded
+	FTxBegin              // TM transaction attempt began; Arg = attempt number (0 = first)
+	FTxCommit             // TM transaction committed; Arg = write-set size
+	FTxAbort              // TM transaction aborted; Arg = tm abort reason (see tm.AbortReason)
+	FIssue                // core issued a sync instruction; Tile = Core = issuing core, Arg = isa.SyncOp
+	FComplete             // core's outstanding sync instruction completed; Arg = op<<8 | isa.Result
+	FCtxSwitch            // core switched threads (HWSync bits and grant entitlements dropped)
 	numFlightKinds
 )
 
 var flightKindNames = [numFlightKinds]string{
-	FNone:     "none",
-	FMsaReq:   "msa-req",
-	FMsaResp:  "msa-resp",
-	FMsaMsg:   "msa-msg",
-	FCoh:      "coh",
-	FSteer:    "steer",
-	FCapSteer: "cap-steer",
-	FAlloc:    "alloc",
-	FFree:     "free",
-	FStandby:  "standby",
-	FReclaim:  "reclaim",
-	FGrant:    "grant",
-	FRevoke:   "revoke",
-	FSilent:   "silent",
-	FTxBegin:  "tx-begin",
-	FTxCommit: "tx-commit",
-	FTxAbort:  "tx-abort",
+	FNone:      "none",
+	FMsaReq:    "msa-req",
+	FMsaResp:   "msa-resp",
+	FMsaMsg:    "msa-msg",
+	FCoh:       "coh",
+	FSteer:     "steer",
+	FCapSteer:  "cap-steer",
+	FAlloc:     "alloc",
+	FFree:      "free",
+	FStandby:   "standby",
+	FReclaim:   "reclaim",
+	FGrant:     "grant",
+	FRevoke:    "revoke",
+	FSilent:    "silent",
+	FTxBegin:   "tx-begin",
+	FTxCommit:  "tx-commit",
+	FTxAbort:   "tx-abort",
+	FIssue:     "issue",
+	FComplete:  "complete",
+	FCtxSwitch: "ctx-switch",
 }
 
 func (k FlightKind) String() string {
@@ -128,9 +136,9 @@ type FlightEvent struct {
 // Detail renders the kind-specific Arg for humans.
 func (e FlightEvent) Detail() string {
 	switch e.Kind {
-	case FMsaReq:
+	case FMsaReq, FIssue:
 		return isa.SyncOp(e.Arg).String()
-	case FMsaResp:
+	case FMsaResp, FComplete:
 		return isa.SyncOp(e.Arg>>8).String() + " " + isa.Result(e.Arg&0xff).String()
 	case FSteer, FCapSteer, FAlloc, FFree, FStandby, FReclaim:
 		return isa.SyncType(e.Arg).String()
@@ -146,7 +154,7 @@ func (e FlightEvent) Detail() string {
 }
 
 func (e FlightEvent) String() string {
-	return fmt.Sprintf("%10d  tile %-2d %-9s core %-3d %#10x  %s",
+	return fmt.Sprintf("%10d  tile %-2d %-10s core %-3d %#10x  %s",
 		e.At, e.Tile, e.Kind, e.Core, uint64(e.Addr), e.Detail())
 }
 
@@ -185,52 +193,6 @@ func (e *FlightEvent) UnmarshalJSON(b []byte) error {
 		Addr: memory.Addr(j.Addr), Arg: j.Arg,
 	}
 	return nil
-}
-
-// TraceEvent converts the compact record into the trace package's richer
-// event form, so flight dumps render through the existing text and
-// Chrome-trace writers (cmd/misar-trace -from-flight).
-func (e FlightEvent) TraceEvent() trace.Event {
-	var kind trace.Kind
-	switch e.Kind {
-	case FMsaReq:
-		kind = trace.SyncReq
-	case FMsaResp:
-		kind = trace.SyncResp
-	case FMsaMsg:
-		kind = trace.MsaInternal
-	case FSteer, FCapSteer:
-		kind = trace.Steer
-	case FAlloc:
-		kind = trace.EntryAlloc
-	case FFree:
-		kind = trace.EntryFree
-	case FStandby:
-		kind = trace.EntryStand
-	case FReclaim:
-		kind = trace.EntryRecl
-	case FGrant:
-		kind = trace.Grant
-	case FRevoke:
-		kind = trace.Revoke
-	case FSilent:
-		kind = trace.Silent
-	default:
-		kind = trace.Kind(e.Kind.String())
-	}
-	return trace.Event{
-		At: e.At, Tile: int(e.Tile), Kind: kind,
-		Addr: e.Addr, Core: int(e.Core), Detail: e.Detail(),
-	}
-}
-
-// TraceEvents converts a dump slice (see FlightEvent.TraceEvent).
-func TraceEvents(events []FlightEvent) []trace.Event {
-	out := make([]trace.Event, len(events))
-	for i, e := range events {
-		out[i] = e.TraceEvent()
-	}
-	return out
 }
 
 // DefaultFlightCapacity is the per-machine ring size: large enough to span
@@ -280,6 +242,34 @@ func (f *FlightRecorder) Record(ev FlightEvent) {
 	if f.next == len(f.ring) {
 		f.next = 0
 	}
+}
+
+// Resize changes the ring's capacity in place, keeping the newest retained
+// events oldest-first; capacity < 1 selects DefaultFlightCapacity. Every
+// component holds the recorder by pointer, so a machine's rings become a
+// full protocol trace by resizing them before the run, with no component
+// re-wired. One allocation (none when the capacity is unchanged); like
+// Events, call it only while the simulation is stopped. Safe on a nil
+// receiver.
+func (f *FlightRecorder) Resize(capacity int) {
+	if f == nil {
+		return
+	}
+	if capacity < 1 {
+		capacity = DefaultFlightCapacity
+	}
+	if capacity == cap(f.ring) {
+		return
+	}
+	n := len(f.ring)
+	keep := min(n, capacity)
+	ring := make([]FlightEvent, keep, capacity)
+	// The oldest retained event sits at f.next once the ring has wrapped
+	// (f.next is 0 until then); copy the newest keep events after it.
+	for i := range ring {
+		ring[i] = f.ring[(f.next+n-keep+i)%n]
+	}
+	f.ring, f.next = ring, 0
 }
 
 // Len reports how many events are retained.

@@ -7,7 +7,6 @@ import (
 
 	"misar/internal/isa"
 	"misar/internal/sim"
-	"misar/internal/trace"
 )
 
 func at(i int) sim.Time { return sim.Time(i) }
@@ -64,6 +63,10 @@ func TestFlightEventJSONRoundTrip(t *testing.T) {
 		{At: 150, Kind: FMsaResp, Tile: 3, Core: 7, Addr: 0x1000040,
 			Arg: uint32(isa.OpLock)<<8 | uint32(isa.Fail)},
 		{At: 160, Kind: FSteer, Tile: 3, Core: -1, Addr: 0x1000040, Arg: uint32(isa.TypeLock)},
+		{At: 90, Kind: FIssue, Tile: 7, Core: 7, Addr: 0x1000040, Arg: uint32(isa.OpLock)},
+		{At: 170, Kind: FComplete, Tile: 7, Core: 7, Addr: 0x1000040,
+			Arg: uint32(isa.OpLock)<<8 | uint32(isa.Fail)},
+		{At: 180, Kind: FCtxSwitch, Tile: 7, Core: 7},
 	}
 	blob, err := json.Marshal(in)
 	if err != nil {
@@ -81,8 +84,10 @@ func TestFlightEventJSONRoundTrip(t *testing.T) {
 			t.Errorf("event %d: %+v != %+v", i, in[i], out[i])
 		}
 	}
-	if !strings.Contains(string(blob), `"kind":"msa-resp"`) {
-		t.Errorf("marshalled form should name kinds: %s", blob)
+	for _, kind := range []string{"msa-resp", "issue", "complete", "ctx-switch"} {
+		if !strings.Contains(string(blob), `"kind":"`+kind+`"`) {
+			t.Errorf("marshalled form should name kind %q: %s", kind, blob)
+		}
 	}
 }
 
@@ -90,6 +95,18 @@ func TestFlightEventDetail(t *testing.T) {
 	resp := FlightEvent{Kind: FMsaResp, Arg: uint32(isa.OpLock)<<8 | uint32(isa.Fail)}
 	if d := resp.Detail(); !strings.Contains(d, "LOCK") || !strings.Contains(d, "FAIL") {
 		t.Errorf("resp detail %q should carry op and result", d)
+	}
+	for _, c := range []struct {
+		ev   FlightEvent
+		want string
+	}{
+		{FlightEvent{Kind: FIssue, Arg: uint32(isa.OpBarrier)}, "BARRIER"},
+		{FlightEvent{Kind: FComplete, Arg: uint32(isa.OpUnlock)<<8 | uint32(isa.Abort)}, "UNLOCK ABORT"},
+		{FlightEvent{Kind: FCtxSwitch}, ""},
+	} {
+		if d := c.ev.Detail(); d != c.want {
+			t.Errorf("%v detail = %q, want %q", c.ev.Kind, d, c.want)
+		}
 	}
 	RegisterArgNames(FCoh, []string{"GetS", "GetX"})
 	if d := (FlightEvent{Kind: FCoh, Arg: 1}).Detail(); d != "GetX" {
@@ -100,20 +117,52 @@ func TestFlightEventDetail(t *testing.T) {
 	}
 }
 
-func TestFlightTraceEventConversion(t *testing.T) {
-	f := NewFlightRecorder(8)
-	f.Record(FlightEvent{At: 10, Kind: FMsaReq, Tile: 2, Core: 5, Addr: 0x40, Arg: uint32(isa.OpBarrier)})
-	f.Record(FlightEvent{At: 20, Kind: FGrant, Tile: 2, Core: 5, Addr: 0x40})
-	evs := TraceEvents(f.Events())
-	if evs[0].Kind != trace.SyncReq || evs[1].Kind != trace.Grant {
-		t.Fatalf("converted kinds = %v, %v", evs[0].Kind, evs[1].Kind)
+// TestFlightRecorderResize: resizing keeps the newest events oldest-first,
+// recording continues with the new capacity, and it costs one allocation.
+func TestFlightRecorderResize(t *testing.T) {
+	f := NewFlightRecorder(4)
+	for i := 0; i < 6; i++ { // wrapped: retains 2..5
+		f.Record(FlightEvent{At: at(i)})
 	}
-	if evs[0].Tile != 2 || evs[0].Core != 5 || evs[0].Addr != 0x40 {
-		t.Errorf("converted fields lost: %+v", evs[0])
+	f.Resize(8)
+	for i := 6; i < 10; i++ {
+		f.Record(FlightEvent{At: at(i)})
 	}
-	if !strings.Contains(evs[0].Detail, "BARRIER") {
-		t.Errorf("detail %q should name the op", evs[0].Detail)
+	evs := f.Events()
+	if len(evs) != 8 || f.Total() != 10 {
+		t.Fatalf("after grow: len %d total %d, want 8 and 10", len(evs), f.Total())
 	}
+	for i, ev := range evs {
+		if ev.At != at(2+i) {
+			t.Fatalf("after grow: event %d at %d, want %d", i, ev.At, 2+i)
+		}
+	}
+	f.Record(FlightEvent{At: at(10)}) // wraps the grown ring: retains 3..10
+	f.Resize(3)
+	if evs := f.Events(); len(evs) != 3 || evs[0].At != 8 || evs[2].At != 10 {
+		t.Fatalf("after shrink: %+v, want cycles 8..10", evs)
+	}
+	f.Record(FlightEvent{At: at(11)})
+	if evs := f.Events(); len(evs) != 3 || evs[0].At != 9 || evs[2].At != 11 {
+		t.Fatalf("recording after shrink: %+v, want cycles 9..11", evs)
+	}
+
+	if a := testing.AllocsPerRun(10, func() { f.Resize(3) }); a != 0 {
+		t.Errorf("same-capacity Resize allocates %.0f, want 0", a)
+	}
+	g := NewFlightRecorder(4)
+	for i := 0; i < 6; i++ {
+		g.Record(FlightEvent{At: at(i)})
+	}
+	size := 4
+	if a := testing.AllocsPerRun(10, func() { size *= 2; g.Resize(size) }); a != 1 {
+		t.Errorf("Resize allocates %.0f, want 1 (the new ring)", a)
+	}
+	if g.Resize(0); cap(g.ring) != DefaultFlightCapacity {
+		t.Errorf("Resize(0) capacity %d, want the default %d", cap(g.ring), DefaultFlightCapacity)
+	}
+	var nilRec *FlightRecorder
+	nilRec.Resize(16) // must not panic
 }
 
 func TestFlightDumpSnapshot(t *testing.T) {
@@ -126,4 +175,3 @@ func TestFlightDumpSnapshot(t *testing.T) {
 		t.Fatalf("snapshot = %+v", d)
 	}
 }
-

@@ -76,13 +76,13 @@ func TestTraceGoldenStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var envelope struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &envelope); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
 	procs := map[string]bool{}
-	for _, ev := range envelope.TraceEvents {
+	for _, ev := range envelope.Events {
 		if ev["name"] == "process_name" {
 			args := ev["args"].(map[string]any)
 			procs[args["name"].(string)] = true
@@ -270,27 +270,32 @@ func TestSlowStreamConsumerDisconnected(t *testing.T) {
 	}
 }
 
-// TestFlightEndpoint: a completed job exposes its flight-recorder dump; a
-// running job answers 409.
+// TestFlightEndpoint: a completed job exposes its flight-recorder dump,
+// whose total counts what the ring overwrote; a running job answers 409.
 func TestFlightEndpoint(t *testing.T) {
 	_, hs, c := newServer(t, service.Options{Workers: 1})
+	fetch := func(job string) obs.FlightDump {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/v1/jobs/" + job + "/flight")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("flight endpoint: %d", resp.StatusCode)
+		}
+		var dump obs.FlightDump
+		if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+			t.Fatal(err)
+		}
+		return dump
+	}
 
 	final, err := c.Submit(context.Background(), quickJob(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(hs.URL + "/v1/jobs/" + final.Job + "/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("flight endpoint: %d", resp.StatusCode)
-	}
-	var dump obs.FlightDump
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		t.Fatal(err)
-	}
+	dump := fetch(final.Job)
 	if dump.Schema != obs.FlightDumpSchema {
 		t.Errorf("dump schema %q, want %q", dump.Schema, obs.FlightDumpSchema)
 	}
@@ -305,6 +310,17 @@ func TestFlightEndpoint(t *testing.T) {
 		if dump.Events[i].At < dump.Events[i-1].At {
 			t.Fatalf("flight events out of order at %d", i)
 		}
+	}
+
+	// A run that outgrows the ring: the dump keeps the newest events and
+	// its total still counts every event recorded.
+	wrapped, err := c.Submit(context.Background(), slowJob(8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := fetch(wrapped.Job); len(d.Events) != obs.DefaultFlightCapacity || d.Total <= uint64(len(d.Events)) {
+		t.Errorf("wrapped run's dump: %d of %d events, want a full ring of %d and a larger total",
+			len(d.Events), d.Total, obs.DefaultFlightCapacity)
 	}
 
 	// A running job refuses with 409.
@@ -343,12 +359,12 @@ func TestJobTraceEndpoint(t *testing.T) {
 		t.Errorf("trace endpoint header %q, want %q", got, final.Trace)
 	}
 	var envelope struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 		t.Fatalf("trace endpoint did not serve JSON: %v", err)
 	}
-	if len(envelope.TraceEvents) == 0 {
+	if len(envelope.Events) == 0 {
 		t.Fatal("empty chrome trace")
 	}
 }

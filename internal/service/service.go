@@ -671,16 +671,11 @@ func (s *Server) reap(job *Job) {
 	job.elapsed = time.Since(job.start)
 	// Capture the flight-recorder tail before publishing the job as done:
 	// on failure it is the dump embedded in the error (the window around
-	// the hang/violation), on success the machine's live ring.
-	if evs := job.run.Flight(); len(evs) > 0 {
-		job.flight = obs.FlightDump{
-			Schema: obs.FlightDumpSchema,
-			Job:    job.ID,
-			Label:  job.Label,
-			Trace:  job.Trace,
-			Total:  uint64(len(evs)),
-			Events: evs,
-		}
+	// the hang/violation), on success the machine's rings, with the count
+	// of events they overwrote.
+	if d := job.run.Flight(); len(d.Events) > 0 {
+		d.Job, d.Label, d.Trace = job.ID, job.Label, job.Trace
+		job.flight = d
 	}
 	// One umbrella span per job, covering admission to completion, so the
 	// Chrome trace shows queue wait + store lookup + sim phases nested

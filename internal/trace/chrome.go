@@ -1,34 +1,19 @@
+// Package trace holds the Chrome trace-event format (chrome://tracing,
+// ui.perfetto.dev) shared by the repo's two timelines: wall-clock serving
+// spans (Span, WriteChromeSpans) and the simulator's protocol-event stream,
+// which obs.WriteChrome converts from flight-recorder events. Both end in
+// WriteChromeEvents, so every exported trace has the same envelope.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
-// Chrome trace-event export: renders a Buffer's timeline in the Trace Event
-// Format that chrome://tracing and Perfetto (ui.perfetto.dev) load, so MSA
-// protocol activity can be inspected in a real trace UI instead of a text
-// dump.
-//
-// Mapping:
-//   - pid is the tile that recorded the event; every tile gets a
-//     process_name metadata record.
-//   - tid is the involved core, or the tile's MSA pseudo-thread (msaTid)
-//     for slice-internal events with no core.
-//   - A core's Issue/Complete pair becomes one complete ("X") duration
-//     event spanning the instruction's latency; each core has at most one
-//     outstanding synchronization instruction, so pairing by core is exact.
-//   - Everything else becomes a thread-scoped instant ("i") event.
-//   - ts/dur are simulated cycles presented as microseconds (the format's
-//     only time unit); 1 cycle reads as 1 µs in the UI.
-
-// msaTid is the synthetic thread id used for slice events with no core.
-const msaTid = 1000
-
-// chromeEvent is one entry of the traceEvents array.
-type chromeEvent struct {
+// ChromeEvent is one entry of the traceEvents array. Ts and Dur are
+// microseconds, the format's only time unit.
+type ChromeEvent struct {
 	Name string            `json:"name"`
 	Ph   string            `json:"ph"`
 	Ts   uint64            `json:"ts"`
@@ -41,120 +26,19 @@ type chromeEvent struct {
 
 // chromeTrace is the JSON-object envelope Perfetto expects.
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	Events          []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-func tidOf(ev Event) int {
-	if ev.Core >= 0 {
-		return ev.Core
+// WriteChromeEvents wraps converted events in the Perfetto envelope and
+// writes them as indented JSON. An empty trace still carries its (empty)
+// traceEvents array.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
+	if events == nil {
+		events = []ChromeEvent{}
 	}
-	return msaTid
-}
-
-func argsOf(ev Event) map[string]string {
-	a := map[string]string{"kind": string(ev.Kind)}
-	if ev.Addr != 0 {
-		a["addr"] = fmt.Sprintf("%#x", uint64(ev.Addr))
-	}
-	if ev.Detail != "" {
-		a["detail"] = ev.Detail
-	}
-	return a
-}
-
-// ChromeEventsFromBuffer converts a recorded timeline. Exposed separately
-// from WriteChrome so tests can validate the structure before marshalling.
-func ChromeEventsFromBuffer(events []Event) []chromeEvent {
-	out := make([]chromeEvent, 0, len(events)+8)
-
-	// Metadata: name the processes (tiles) and the MSA pseudo-threads that
-	// appear, in first-appearance order (deterministic: input order is
-	// chronological).
-	seenTile := map[int]bool{}
-	seenMsa := map[int]bool{}
-	for _, ev := range events {
-		if !seenTile[ev.Tile] {
-			seenTile[ev.Tile] = true
-			out = append(out, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: ev.Tile,
-				Args: map[string]string{"name": fmt.Sprintf("tile %d", ev.Tile)},
-			})
-		}
-		if ev.Core < 0 && !seenMsa[ev.Tile] {
-			seenMsa[ev.Tile] = true
-			out = append(out, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: ev.Tile, Tid: msaTid,
-				Args: map[string]string{"name": "msa slice"},
-			})
-		}
-	}
-
-	// Pair each core's Issue with its Complete into a duration event; at
-	// most one synchronization instruction is outstanding per core. Silent
-	// acquisitions complete locally and never produce a Complete, so an
-	// Issue superseded by a new Issue degrades to an instant event.
-	pending := map[int]*Event{} // core -> outstanding Issue
-	flush := func(core int) {
-		if iss := pending[core]; iss != nil {
-			out = append(out, chromeEvent{
-				Name: iss.Detail, Ph: "i", Ts: uint64(iss.At),
-				Pid: iss.Tile, Tid: tidOf(*iss), S: "t", Args: argsOf(*iss),
-			})
-			delete(pending, core)
-		}
-	}
-	for i := range events {
-		ev := events[i]
-		switch ev.Kind {
-		case Issue:
-			flush(ev.Core)
-			pending[ev.Core] = &events[i]
-		case Complete:
-			if iss := pending[ev.Core]; iss != nil {
-				dur := uint64(ev.At - iss.At)
-				args := argsOf(ev)
-				out = append(out, chromeEvent{
-					Name: iss.Detail, Ph: "X", Ts: uint64(iss.At), Dur: &dur,
-					Pid: iss.Tile, Tid: tidOf(*iss), Args: args,
-				})
-				delete(pending, ev.Core)
-				continue
-			}
-			out = append(out, chromeEvent{
-				Name: ev.Detail, Ph: "i", Ts: uint64(ev.At),
-				Pid: ev.Tile, Tid: tidOf(ev), S: "t", Args: argsOf(ev),
-			})
-		default:
-			out = append(out, chromeEvent{
-				Name: string(ev.Kind), Ph: "i", Ts: uint64(ev.At),
-				Pid: ev.Tile, Tid: tidOf(ev), S: "t", Args: argsOf(ev),
-			})
-		}
-	}
-	// Issues still outstanding at the end of the trace, in core order so the
-	// output stays deterministic.
-	left := make([]int, 0, len(pending))
-	for core := range pending {
-		left = append(left, core)
-	}
-	sort.Ints(left)
-	for _, core := range left {
-		flush(core)
-	}
-	return out
-}
-
-// WriteChrome writes the timeline as Chrome trace-event JSON, loadable in
-// Perfetto or chrome://tracing.
-func WriteChrome(w io.Writer, events []Event) error {
-	return writeChromeEvents(w, ChromeEventsFromBuffer(events))
-}
-
-// writeChromeEvents wraps converted events in the Perfetto envelope.
-func writeChromeEvents(w io.Writer, events []chromeEvent) error {
 	tr := chromeTrace{
-		TraceEvents:     events,
+		Events:          events,
 		DisplayTimeUnit: "ms",
 	}
 	enc := json.NewEncoder(w)

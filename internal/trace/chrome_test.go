@@ -6,130 +6,21 @@ import (
 	"testing"
 )
 
-func sampleEvents() []Event {
-	return []Event{
-		{At: 100, Tile: 0, Kind: Issue, Addr: 0x1000, Core: 3, Detail: "LOCK"},
-		{At: 112, Tile: 0, Kind: SyncReq, Addr: 0x1000, Core: 3, Detail: "lock req"},
-		{At: 115, Tile: 0, Kind: EntryAlloc, Addr: 0x1000, Core: -1, Detail: "e0"},
-		{At: 130, Tile: 0, Kind: Complete, Addr: 0x1000, Core: 3, Detail: "LOCK done"},
-		{At: 140, Tile: 1, Kind: Issue, Addr: 0x2000, Core: 5, Detail: "BARRIER"},
-		// Core 5's Issue never completes (e.g. silent local completion):
-		// it must degrade to an instant, not vanish or pair wrongly.
-	}
-}
-
-// TestChromeEventsStructure validates the trace-event mapping the issue
-// specifies: metadata records, ph/ts/pid/tid on every event, and exact
-// Issue->Complete pairing into "X" duration events.
-func TestChromeEventsStructure(t *testing.T) {
-	evs := ChromeEventsFromBuffer(sampleEvents())
-
-	var meta, instant, complete int
-	for _, e := range evs {
-		switch e.Ph {
-		case "M":
-			meta++
-			if e.Name != "process_name" && e.Name != "thread_name" {
-				t.Errorf("unexpected metadata record %q", e.Name)
-			}
-		case "i":
-			instant++
-			if e.S != "t" {
-				t.Errorf("instant event %q missing thread scope: %+v", e.Name, e)
-			}
-		case "X":
-			complete++
-			if e.Dur == nil {
-				t.Fatalf("X event without dur: %+v", e)
-			}
-		default:
-			t.Errorf("unexpected ph %q: %+v", e.Ph, e)
-		}
-	}
-	if meta == 0 {
-		t.Error("no metadata records emitted")
-	}
-	if complete != 1 {
-		t.Errorf("complete events = %d, want 1 (one Issue/Complete pair)", complete)
-	}
-
-	// The paired LOCK: ts at the Issue cycle, dur spanning to Complete,
-	// pid = recording tile, tid = issuing core.
-	var lock *chromeEvent
-	for i := range evs {
-		if evs[i].Ph == "X" {
-			lock = &evs[i]
-		}
-	}
-	if lock.Name != "LOCK" || lock.Ts != 100 || *lock.Dur != 30 || lock.Pid != 0 || lock.Tid != 3 {
-		t.Errorf("paired event wrong: %+v", lock)
-	}
-
-	// The slice-internal alloc runs on the MSA pseudo-thread.
-	found := false
-	for _, e := range evs {
-		if e.Ph == "i" && e.Args["kind"] == string(EntryAlloc) {
-			found = true
-			if e.Tid != msaTid {
-				t.Errorf("slice event on tid %d, want msa pseudo-thread %d", e.Tid, msaTid)
-			}
-		}
-	}
-	if !found {
-		t.Error("EntryAlloc instant missing")
-	}
-
-	// The unpaired BARRIER Issue flushes as an instant at its issue time.
-	found = false
-	for _, e := range evs {
-		if e.Ph == "i" && e.Name == "BARRIER" {
-			found = true
-			if e.Ts != 140 || e.Pid != 1 || e.Tid != 5 {
-				t.Errorf("leftover Issue flushed wrong: %+v", e)
-			}
-		}
-	}
-	if !found {
-		t.Error("unpaired Issue not flushed")
-	}
-}
-
-func TestChromeIssueSupersededByNewIssue(t *testing.T) {
-	evs := ChromeEventsFromBuffer([]Event{
-		{At: 10, Tile: 0, Kind: Issue, Core: 2, Detail: "LOCK"},
-		{At: 20, Tile: 0, Kind: Issue, Core: 2, Detail: "UNLOCK"},
-		{At: 25, Tile: 0, Kind: Complete, Core: 2, Detail: "UNLOCK done"},
-	})
-	var x, i int
-	for _, e := range evs {
-		switch {
-		case e.Ph == "X":
-			x++
-			if e.Name != "UNLOCK" || e.Ts != 20 || *e.Dur != 5 {
-				t.Errorf("pairing crossed instructions: %+v", e)
-			}
-		case e.Ph == "i":
-			i++
-			if e.Name != "LOCK" {
-				t.Errorf("wrong instant: %+v", e)
-			}
-		}
-	}
-	if x != 1 || i != 1 {
-		t.Fatalf("x=%d i=%d, want 1 and 1", x, i)
-	}
-}
-
-// TestWriteChromeValidJSON parses the full output back: a single object
-// with a traceEvents array whose entries all carry the mandatory fields.
+// TestWriteChromeValidJSON parses the envelope back: one object whose
+// traceEvents entries all carry the mandatory fields, spans rebased so the
+// timeline starts at zero.
 func TestWriteChromeValidJSON(t *testing.T) {
+	spans := []Span{
+		{Trace: "t1", Proc: "served", Name: "job", Start: 1_000_050, Dur: 40},
+		{Trace: "t1", Proc: "client", Name: "client.submit", Start: 1_000_000, Dur: 100},
+	}
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, sampleEvents()); err != nil {
+	if err := WriteChromeSpans(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-		Unit        string           `json:"displayTimeUnit"`
+		Events []map[string]any `json:"traceEvents"`
+		Unit   string           `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
@@ -137,30 +28,33 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	if out.Unit != "ms" {
 		t.Errorf("displayTimeUnit = %q", out.Unit)
 	}
-	if len(out.TraceEvents) == 0 {
-		t.Fatal("no events emitted")
+	if len(out.Events) != 4 { // two process_name records, two spans
+		t.Fatalf("got %d events, want 4:\n%s", len(out.Events), buf.String())
 	}
-	for _, e := range out.TraceEvents {
+	for _, e := range out.Events {
 		for _, key := range []string{"name", "ph", "pid", "tid"} {
 			if _, ok := e[key]; !ok {
 				t.Errorf("event missing %q: %v", key, e)
 			}
+		}
+		if e["name"] == "client.submit" && e["ts"] != float64(0) {
+			t.Errorf("earliest span not rebased to 0: %v", e)
 		}
 	}
 }
 
 func TestWriteChromeEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, nil); err != nil {
+	if err := WriteChromeSpans(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+		Events []json.RawMessage `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.TraceEvents) != 0 {
-		t.Fatalf("empty buffer produced %d events", len(out.TraceEvents))
+	if out.Events == nil || len(out.Events) != 0 {
+		t.Fatalf("empty input produced %s, want an empty traceEvents array", buf.String())
 	}
 }

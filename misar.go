@@ -44,11 +44,11 @@ import (
 	"misar/internal/machine"
 	"misar/internal/memory"
 	"misar/internal/metrics"
+	"misar/internal/obs"
 	"misar/internal/sim"
 	"misar/internal/stats"
 	"misar/internal/store"
 	"misar/internal/syncrt"
-	"misar/internal/trace"
 	"misar/internal/verify"
 	"misar/internal/workload"
 )
@@ -85,9 +85,6 @@ type (
 	Table = stats.Table
 	// Options scales harness experiments.
 	Options = harness.Options
-	// TraceBuffer records protocol events (see Machine.AttachTracer and
-	// cmd/misar-trace).
-	TraceBuffer = trace.Buffer
 	// Histogram is a power-of-two bucketed latency histogram.
 	Histogram = stats.Histogram
 
@@ -133,13 +130,12 @@ var (
 	// SaveConfig/LoadConfig serialize machine configurations as JSON.
 	SaveConfig = machine.SaveConfig
 	LoadConfig = machine.LoadConfig
-	// NewTraceBuffer creates a bounded protocol-event recorder.
-	NewTraceBuffer = trace.NewBuffer
 	// NewMetricsRegistry builds an empty metrics registry.
 	NewMetricsRegistry = metrics.NewRegistry
-	// WriteChromeTrace renders recorded events as Chrome trace-event JSON
-	// (Perfetto-loadable).
-	WriteChromeTrace = trace.WriteChrome
+	// WriteChromeTrace renders a machine's flight stream (Machine.
+	// FlightEvents; resize its Flights rings first to keep a whole run) as
+	// Chrome trace-event JSON (Perfetto-loadable).
+	WriteChromeTrace = obs.WriteChrome
 )
 
 // Synchronization libraries (the paper's software baselines and the
