@@ -42,7 +42,7 @@ func TestTracerThroughFacade(t *testing.T) {
 	if _, err := m.Run(misar.RunDeadline); err != nil {
 		t.Fatal(err)
 	}
-	evs := m.FlightEvents()
+	evs := m.FlightDump().Events
 	if len(evs) == 0 {
 		t.Fatal("flight stream recorded nothing")
 	}

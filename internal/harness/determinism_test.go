@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"misar/internal/machine"
+	"misar/internal/sim"
 	"misar/internal/stats"
 	"misar/internal/syncrt"
 	"misar/internal/workload"
@@ -50,18 +51,18 @@ func TestRunnerDeterminism(t *testing.T) {
 		if m1.Coverage() != m2.Coverage() {
 			t.Errorf("%s: serial coverage disagrees: %v vs %v", name, m1.Coverage(), m2.Coverage())
 		}
-		mp, cp, err := runs[name].App()
+		res, err := runs[name].Result()
 		if err != nil {
 			t.Fatalf("%s via Runner: %v", name, err)
 		}
-		if cp != c1 {
+		if cp := sim.Time(res.Cycles); cp != c1 {
 			t.Errorf("%s: Runner cycles %d != serial %d", name, cp, c1)
 		}
-		if mp.Coverage() != m1.Coverage() {
-			t.Errorf("%s: Runner coverage %v != serial %v", name, mp.Coverage(), m1.Coverage())
+		if res.Coverage != m1.Coverage() {
+			t.Errorf("%s: Runner coverage %v != serial %v", name, res.Coverage, m1.Coverage())
 		}
 		serial.AddRow(name, float64(c1), m1.Coverage()*100)
-		viaRunner.AddRow(name, float64(cp), mp.Coverage()*100)
+		viaRunner.AddRow(name, float64(res.Cycles), res.Coverage*100)
 	}
 
 	var bs, bp bytes.Buffer
@@ -130,10 +131,11 @@ func TestMemoizedRunIdenticalToFresh(t *testing.T) {
 	if first != second {
 		t.Fatal("identical submissions should share one *Run")
 	}
-	_, c1, err := first.App()
+	res, err := first.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
+	c1 := sim.Time(res.Cycles)
 	_, fresh, err := workload.Run(app, cfg, syncrt.HWLib())
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func TestRunnerCacheUnpoisonedAfterFailure(t *testing.T) {
 	cfg := machine.MSAOMU(2, 1)
 	lib := syncrt.HWLib()
 
-	_, _, err := r.App(app, cfg, lib).App()
+	_, err := r.App(app, cfg, lib).Result()
 	if err == nil {
 		t.Fatal("first submission should have failed")
 	}
@@ -51,7 +51,7 @@ func TestRunnerCacheUnpoisonedAfterFailure(t *testing.T) {
 	}
 
 	// Same key again: the poisoned entry must be gone.
-	if _, _, err := r.App(app, cfg, lib).App(); err != nil {
+	if _, err := r.App(app, cfg, lib).Result(); err != nil {
 		t.Fatalf("resubmission after failure did not re-run: %v", err)
 	}
 	if calls != 2 {
@@ -62,7 +62,7 @@ func TestRunnerCacheUnpoisonedAfterFailure(t *testing.T) {
 	}
 
 	// The success IS memoized: a third submission is a memo hit.
-	if _, _, err := r.App(app, cfg, lib).App(); err != nil || calls != 2 {
+	if _, err := r.App(app, cfg, lib).Result(); err != nil || calls != 2 {
 		t.Fatalf("successful run not memoized: err=%v calls=%d", err, calls)
 	}
 }
@@ -80,7 +80,7 @@ func TestRunnerRetries(t *testing.T) {
 		}
 		return func(tid int, e cpu.Env) { e.Compute(10) }
 	})
-	if _, _, err := r.App(app, machine.MSAOMU(2, 1), syncrt.HWLib()).App(); err != nil {
+	if _, err := r.App(app, machine.MSAOMU(2, 1), syncrt.HWLib()).Result(); err != nil {
 		t.Fatalf("run failed despite retries: %v", err)
 	}
 	if calls != 3 {
@@ -97,7 +97,7 @@ func TestRunnerBudgetSurfacesLiveness(t *testing.T) {
 	app := testApp("crawler", func() func(int, cpu.Env) {
 		return func(tid int, e cpu.Env) { e.Compute(10_000_000) }
 	})
-	_, _, err := r.App(app, machine.MSAOMU(2, 1), syncrt.HWLib()).App()
+	_, err := r.App(app, machine.MSAOMU(2, 1), syncrt.HWLib()).Result()
 	var le *machine.LivenessError
 	if !errors.As(err, &le) {
 		t.Fatalf("want *machine.LivenessError through the RunError chain, got %T: %v", err, err)
@@ -116,7 +116,7 @@ func TestRunErrorCarriesFaultSeed(t *testing.T) {
 	})
 	cfg := machine.MSAOMU(2, 1)
 	cfg.Fault = fault.DefaultPlan(0xABC)
-	_, _, err := r.App(app, cfg, syncrt.HWLib()).App()
+	_, err := r.App(app, cfg, syncrt.HWLib()).Result()
 	var re *RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("want *RunError, got %T: %v", err, err)

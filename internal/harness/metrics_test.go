@@ -47,7 +47,7 @@ func TestMetricsReportDeterminism(t *testing.T) {
 		if serial == nil {
 			t.Fatalf("%s: metered serial run produced no report", name)
 		}
-		if _, _, err := runs[name].App(); err != nil {
+		if _, err := runs[name].Result(); err != nil {
 			t.Fatalf("%s via Runner: %v", name, err)
 		}
 		parallel := runs[name].Report()

@@ -53,9 +53,10 @@ func (e *RunError) Unwrap() error { return e.Err }
 // executes the simulations in the background. Each unique
 // (experiment kind, app, config, tiles, library) combination is simulated
 // exactly once per Runner — repeated submissions (the pthread baseline
-// appears in Fig6, Fig8, Fig9 and Headline) share one future. This is safe
-// because every simulation builds a fresh machine.Machine and the
-// single-threaded event kernel in internal/sim makes the result a pure
+// appears in Fig6, Fig8, Fig9 and Headline) share one future, and once it
+// finishes the memo keeps only its results (Run.record), not its machine.
+// This is safe because every simulation builds a fresh machine.Machine and
+// the single-threaded event kernel in internal/sim makes the result a pure
 // function of (app, config, library).
 //
 // A Runner may be shared across figures (cmd/misar-fig builds one per
@@ -65,9 +66,9 @@ type Runner struct {
 	sem     chan struct{} // worker slots
 
 	mu        sync.Mutex
-	cache     map[runKey]*Run
-	order     []*Run // unique runs in submission order, for Reports
-	metrics   bool   // meter every subsequently submitted run
+	cache     map[runKey]*Run // in-flight runs, then their records
+	order     []*Run          // unique runs in submission order, for Reports
+	metrics   bool            // meter every subsequently submitted run
 	transform func(machine.Config) machine.Config
 	progress  func(ProgressEvent)
 	budget    sim.Time    // per-simulation cycle budget; 0 means RunDeadline
@@ -116,13 +117,16 @@ type RunnerStats struct {
 }
 
 // Run is a future for one submitted simulation. The same *Run is returned
-// to every submitter of the same key; results must be treated as read-only.
+// to every submitter of the same key while it runs; later submitters get
+// its record. Results must be treated as read-only.
 type Run struct {
-	label     string
-	kind      string // "app" or "micro"
-	done      chan struct{}
-	sc        *sharedCancel
-	m         *machine.Machine
+	label string
+	kind  string // "app" or "micro"
+	done  chan struct{}
+	sc    *sharedCancel // nil on a record
+	// flights are the finished machine's rings, by pointer, for Flight (the
+	// machine is dropped); nil for micro runs, store replays and records.
+	flights   []*obs.FlightRecorder
 	cycles    sim.Time
 	coverage  float64
 	micro     workload.MicroResult
@@ -131,13 +135,14 @@ type Run struct {
 	err       error
 }
 
-// App blocks until the run completes and returns the finished machine (for
-// live inspection) and the completion cycle. The machine is nil when the
-// run was replayed from the persistent store — prefer Result, which is
-// complete in every case, unless the caller truly needs component state.
-func (r *Run) App() (*machine.Machine, sim.Time, error) {
-	<-r.done
-	return r.m, r.cycles, r.err
+// record is what the memo keeps of a finished run: its results and done
+// channel, without the flight rings, the cancel plumbing or the error
+// (failed runs leave the memo, and Reports skips their report-less
+// records).
+func (r *Run) record() *Run {
+	rec := *r
+	rec.sc, rec.flights, rec.err = nil, nil, nil
+	return &rec
 }
 
 // Micro blocks until the run completes and returns the microbenchmark
@@ -156,18 +161,15 @@ func (r *Run) Report() *metrics.Report {
 
 // Flight blocks until the run completes and returns the machine's
 // flight-recorder dump: the one embedded in a structured failure
-// (machine.FlightOf), or the finished machine's rings on success
-// (Machine.FlightDump, every shard). Empty for store replays and micro
-// runs, which carry no machine.
+// (machine.FlightOf), or the finished machine's rings on success, every
+// shard merged (obs.Dump), built anew on each call. Empty for store
+// replays, micro runs and records, which carry no rings.
 func (r *Run) Flight() obs.FlightDump {
 	<-r.done
 	if d, ok := machine.FlightOf(r.err); ok {
 		return d
 	}
-	if r.m != nil {
-		return r.m.FlightDump()
-	}
-	return obs.FlightDump{}
+	return obs.Dump(r.flights...)
 }
 
 // NewRunner returns a Runner executing at most workers simulations
@@ -394,14 +396,18 @@ func (s *sharedCancel) attach(ctx context.Context, done <-chan struct{}) {
 // and the key is evicted from the memo cache — a failed simulation must not
 // satisfy future submissions, only in-flight sharers of the same future.
 // Cancellation counts as failure: a cancelled run is evicted, so a later
-// submission with a live context simply re-runs the experiment.
+// submission with a live context simply re-runs the experiment. A success
+// is replaced in the memo by its record. Counters and memo are final before
+// done closes, so Stats is current once any caller's Result returns.
 func (r *Runner) submit(ctx context.Context, kind string, key runKey, skey string, tag RunError, fn func(ctx context.Context, run *Run) error) *Run {
 	label := tag.Label
 	r.mu.Lock()
 	r.submitted++
 	if existing, ok := r.cache[key]; ok {
 		r.mu.Unlock()
-		existing.sc.attach(ctx, existing.done)
+		if existing.sc != nil {
+			existing.sc.attach(ctx, existing.done)
+		}
 		return existing
 	}
 	run := &Run{label: label, kind: kind, done: make(chan struct{})}
@@ -413,6 +419,7 @@ func (r *Runner) submit(ctx context.Context, kind string, key runKey, skey strin
 	run.sc = newSharedCancel(cancel)
 	run.sc.attach(ctx, run.done)
 	r.cache[key] = run
+	idx := len(r.order)
 	r.order = append(r.order, run)
 	r.unique++
 	st := r.store
@@ -475,16 +482,14 @@ func (r *Runner) submit(ctx context.Context, kind string, key runKey, skey strin
 			}
 		}
 		elapsed := time.Since(start)
-		if run.err != nil {
-			r.mu.Lock()
-			if r.cache[key] == run {
-				delete(r.cache, key)
-			}
-			r.mu.Unlock()
-		}
-		close(run.done)
-
 		r.mu.Lock()
+		rec := run.record()
+		if run.err != nil {
+			delete(r.cache, key)
+		} else {
+			r.cache[key] = rec
+		}
+		r.order[idx] = rec
 		r.finished++
 		if r.progress != nil {
 			r.progress(ProgressEvent{
@@ -498,6 +503,7 @@ func (r *Runner) submit(ctx context.Context, kind string, key runKey, skey strin
 			})
 		}
 		r.mu.Unlock()
+		close(run.done)
 	}()
 	return run
 }
@@ -535,7 +541,7 @@ func (r *Runner) AppCtx(ctx context.Context, app workload.App, cfg machine.Confi
 			re.Err = err
 			return &re
 		}
-		run.m, run.cycles = m, cycles
+		run.flights, run.cycles = m.Flights, cycles
 		run.coverage = m.Coverage()
 		run.report = m.MetricsReport("app", app.Name, lib.Desc())
 		return nil

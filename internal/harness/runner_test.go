@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"misar/internal/cpu"
 	"misar/internal/machine"
 	"misar/internal/syncrt"
 	"misar/internal/workload"
@@ -97,12 +100,9 @@ func TestRunnerProgressUnderContention(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Callbacks are serialized under the Runner's lock, but the final
-	// event may still be in flight after the last Wait returns (Wait
-	// unblocks on close(done), which precedes the callback); Stats takes
-	// the same lock, so one call synchronizes with any straggler.
-	for r.Stats().Done < 2 {
-	}
+	// Callbacks are serialized under the Runner's lock and run before the
+	// run's done channel closes, so every event has landed once the last
+	// Micro returns.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(events) != 2 {
@@ -181,5 +181,54 @@ func TestRunnerWorkersFloor(t *testing.T) {
 		if got := NewRunner(n).Workers(); got != 1 {
 			t.Errorf("NewRunner(%d).Workers() = %d, want 1", n, got)
 		}
+	}
+}
+
+// heapInUse returns the live heap after a full collection.
+func heapInUse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestRunnerMemoKeepsResultsNotMachines: a finished run leaves only a
+// results-only record in the memo. Distinct app runs through one live
+// Runner, their handles dropped, retain a few KiB each — not a machine and
+// its 128 KiB flight ring. Deduplication is unchanged: a resubmission is a
+// memo hit answered by the record.
+func TestRunnerMemoKeepsResultsNotMachines(t *testing.T) {
+	const n = 16
+	app := testApp("tiny", func() func(int, cpu.Env) {
+		return func(tid int, e cpu.Env) { e.Compute(10) }
+	})
+	cfgFor := func(i int) machine.Config {
+		cfg := machine.MSAOMU(4, 2)
+		cfg.Name = fmt.Sprintf("tiny-%d", i) // a distinct memo key, the same simulation
+		return cfg
+	}
+	r := NewRunner(2)
+	before := heapInUse()
+	for i := 0; i < n; i++ {
+		if _, err := r.App(app, cfgFor(i), syncrt.HWLib()).Result(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := (heapInUse() - before) / n
+	runtime.KeepAlive(r)
+	t.Logf("retained per finished run: %d bytes", per)
+	if per > 4<<10 {
+		t.Errorf("a finished run retains %d bytes in a live Runner, want at most 4 KiB", per)
+	}
+
+	again := r.App(app, cfgFor(0), syncrt.HWLib())
+	if res, err := again.Result(); err != nil || res.Cycles == 0 {
+		t.Fatalf("memo hit on a record: %+v, %v", res, err)
+	}
+	if d := again.Flight(); len(d.Events) != 0 {
+		t.Errorf("a record carries %d flight events, want none", len(d.Events))
+	}
+	if st := r.Stats(); st.Submitted != n+1 || st.Unique != n || st.Done != n {
+		t.Errorf("stats = %+v, want %d submitted, %d unique and done", st, n+1, n)
 	}
 }

@@ -147,7 +147,7 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
-	evs := m.FlightEvents()
+	evs := m.FlightDump().Events
 	if len(evs) == 0 {
 		t.Fatal("clean run recorded no flight events")
 	}

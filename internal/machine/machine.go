@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 
 	"misar/internal/coherence"
 	corepkg "misar/internal/core"
@@ -282,31 +281,9 @@ func (m *Machine) killThreads() {
 	}
 }
 
-// FlightEvents merges the per-shard flight-recorder rings into one
-// timestamp-ordered stream (stable by shard at equal cycles). On a serial
-// machine it is exactly Flights[0].Events().
-func (m *Machine) FlightEvents() []obs.FlightEvent {
-	if len(m.Flights) == 1 {
-		return m.Flights[0].Events()
-	}
-	var all []obs.FlightEvent
-	for _, f := range m.Flights {
-		all = append(all, f.Events()...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	return all
-}
-
-// FlightDump snapshots the flight stream: FlightEvents plus the number of
-// events ever recorded, summed over the shards' rings, so a dump says how
-// much the rings overwrote (Total - len(Events)).
-func (m *Machine) FlightDump() obs.FlightDump {
-	d := obs.FlightDump{Schema: obs.FlightDumpSchema, Events: m.FlightEvents()}
-	for _, f := range m.Flights {
-		d.Total += f.Total()
-	}
-	return d
-}
+// FlightDump snapshots the machine's flight stream: every shard's ring,
+// merged by cycle, with the events ever recorded summed (obs.Dump).
+func (m *Machine) FlightDump() obs.FlightDump { return obs.Dump(m.Flights...) }
 
 // shardMap partitions the mesh into contiguous row bands, one per shard:
 // tile t of a width-w mesh with rowsPer rows per shard lives on shard

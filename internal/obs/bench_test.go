@@ -68,7 +68,7 @@ func BenchmarkFlightSnapshot(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if d := f.Snapshot(); len(d.Events) == 0 {
+		if d := Dump(f); len(d.Events) == 0 {
 			b.Fatal("empty snapshot")
 		}
 	}

@@ -54,7 +54,7 @@ func chromeInstant(name string, ev FlightEvent) trace.ChromeEvent {
 }
 
 // ChromeEvents converts a flight stream (oldest first, as FlightRecorder.
-// Events and Machine.FlightEvents return it) into Chrome trace events.
+// Events and Dump return it) into Chrome trace events.
 // Exposed separately from WriteChrome so tests can validate the structure
 // before marshalling.
 func ChromeEvents(events []FlightEvent) []trace.ChromeEvent {

@@ -17,8 +17,10 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"misar/internal/isa"
@@ -209,7 +211,7 @@ const DefaultFlightCapacity = 4096
 // the receiver check.
 //
 // Readers (error dumps, the /flight endpoint) must only call Events or
-// Snapshot after the simulation has stopped; the recorder is not a
+// Dump after the simulation has stopped; the recorder is not a
 // concurrent structure, it is a crash recorder.
 type FlightRecorder struct {
 	ring  []FlightEvent
@@ -291,19 +293,7 @@ func (f *FlightRecorder) Total() uint64 {
 
 // Events returns the retained events oldest-first. The slice is a copy; the
 // recorder can keep running (though see the type docs on concurrency).
-func (f *FlightRecorder) Events() []FlightEvent {
-	if f == nil || len(f.ring) == 0 {
-		return nil
-	}
-	out := make([]FlightEvent, 0, len(f.ring))
-	if len(f.ring) == cap(f.ring) {
-		out = append(out, f.ring[f.next:]...)
-		out = append(out, f.ring[:f.next]...)
-	} else {
-		out = append(out, f.ring...)
-	}
-	return out
-}
+func (f *FlightRecorder) Events() []FlightEvent { return Dump(f).Events }
 
 // FlightDumpSchema versions the serialized FlightDump layout.
 const FlightDumpSchema = "misar-flight/v1"
@@ -319,7 +309,29 @@ type FlightDump struct {
 	Events []FlightEvent `json:"events"`
 }
 
-// Snapshot builds a FlightDump of the recorder's current contents.
-func (f *FlightRecorder) Snapshot() FlightDump {
-	return FlightDump{Schema: FlightDumpSchema, Total: f.Total(), Events: f.Events()}
+// Dump snapshots one machine's flight stream: its recorders' rings (one
+// per shard) merged by cycle, stable by recorder, with Total summed over
+// the rings so the dump says how much they overwrote (Total -
+// len(Events)). One allocation; like Events, call it only while the
+// simulation is stopped.
+func Dump(recs ...*FlightRecorder) FlightDump {
+	d := FlightDump{Schema: FlightDumpSchema}
+	n := 0
+	for _, f := range recs {
+		n += f.Len()
+		d.Total += f.Total()
+	}
+	if n == 0 {
+		return d
+	}
+	d.Events = make([]FlightEvent, 0, n)
+	for _, f := range recs {
+		if f.Len() > 0 { // oldest first: a wrapped ring's oldest event is at next (0 until then)
+			d.Events = append(append(d.Events, f.ring[f.next:]...), f.ring[:f.next]...)
+		}
+	}
+	if len(recs) > 1 {
+		slices.SortStableFunc(d.Events, func(x, y FlightEvent) int { return cmp.Compare(x.At, y.At) })
+	}
+	return d
 }

@@ -170,8 +170,43 @@ func TestFlightDumpSnapshot(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.Record(FlightEvent{At: at(i)})
 	}
-	d := f.Snapshot()
+	d := Dump(f)
 	if d.Schema != FlightDumpSchema || d.Total != 5 || len(d.Events) != 2 {
 		t.Fatalf("snapshot = %+v", d)
+	}
+	if d := Dump(); d.Schema != FlightDumpSchema || d.Total != 0 || d.Events != nil {
+		t.Fatalf("dump of no recorders = %+v", d)
+	}
+}
+
+// TestDumpMergesShardRings: a sharded machine's rings merge into one
+// cycle-ordered stream, stable by recorder at equal cycles, and the total
+// sums every ring's count, overwritten events included.
+func TestDumpMergesShardRings(t *testing.T) {
+	a, b := NewFlightRecorder(3), NewFlightRecorder(8)
+	for _, c := range []int{1, 2, 4, 6, 9} { // a keeps 4, 6, 9
+		a.Record(FlightEvent{At: at(c), Tile: 0})
+	}
+	for _, c := range []int{3, 4, 10} {
+		b.Record(FlightEvent{At: at(c), Tile: 1})
+	}
+	d := Dump(a, b)
+	if d.Total != 8 {
+		t.Errorf("total = %d, want 8 (5 + 3)", d.Total)
+	}
+	want := []struct {
+		at   sim.Time
+		tile int16
+	}{{3, 1}, {4, 0}, {4, 1}, {6, 0}, {9, 0}, {10, 1}}
+	if len(d.Events) != len(want) {
+		t.Fatalf("merged %d events, want %d: %+v", len(d.Events), len(want), d.Events)
+	}
+	for i, w := range want {
+		if e := d.Events[i]; e.At != w.at || e.Tile != w.tile {
+			t.Errorf("event %d = cycle %d tile %d, want cycle %d tile %d", i, e.At, e.Tile, w.at, w.tile)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Dump(a, b) }); allocs != 1 {
+		t.Errorf("Dump allocates %.0f times, want 1 (the merged slice)", allocs)
 	}
 }

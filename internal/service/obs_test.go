@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -397,5 +398,78 @@ func TestTimeseriesEndpoint(t *testing.T) {
 	}
 	if _, ok := ts.Current["hit_ratio"]; !ok {
 		t.Error("current sample missing hit_ratio")
+	}
+}
+
+// flightOf fetches a job's flight dump: the status code, the dump on 200
+// and the API error message otherwise.
+func flightOf(t *testing.T, base, job string) (int, obs.FlightDump, string) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + job + "/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var ae struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&ae)
+		return resp.StatusCode, obs.FlightDump{}, ae.Error
+	}
+	var d obs.FlightDump
+	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, d, ""
+}
+
+// TestFlightSharedBySingleFlightJobs: two identical fresh submissions sent
+// at once are one simulation, and both jobs serve that run's rings — the
+// same events and total under each job's own identity. A repeat after
+// completion is answered by the memo's results-only record, so it has no
+// flight (404), while the first two jobs keep serving theirs.
+func TestFlightSharedBySingleFlightJobs(t *testing.T) {
+	s, hs, c := newServer(t, service.Options{Workers: 1})
+	req := slowJob(16)
+	id1, code1, _ := asyncSubmit(t, hs.URL, req)
+	id2, code2, _ := asyncSubmit(t, hs.URL, req)
+	if code1 != http.StatusAccepted || code2 != http.StatusAccepted {
+		t.Fatalf("submit: %d, %d", code1, code2)
+	}
+	waitDone(t, c, id1)
+	waitDone(t, c, id2)
+	if st := s.RunnerStats(); st.Executed != 1 || st.Unique != 1 || st.Submitted != 2 {
+		t.Fatalf("runner stats %+v: want one simulation for two submissions", st)
+	}
+	code, d1, msg := flightOf(t, hs.URL, id1)
+	if code != http.StatusOK {
+		t.Fatalf("flight of %s: %d %s", id1, code, msg)
+	}
+	code, d2, msg := flightOf(t, hs.URL, id2)
+	if code != http.StatusOK {
+		t.Fatalf("flight of %s (attached while simulating): %d %s", id2, code, msg)
+	}
+	if len(d1.Events) == 0 || d1.Total != d2.Total || !reflect.DeepEqual(d1.Events, d2.Events) {
+		t.Errorf("shared run's dumps differ: %d of %d events vs %d of %d",
+			len(d1.Events), d1.Total, len(d2.Events), d2.Total)
+	}
+	if d1.Job != id1 || d2.Job != id2 {
+		t.Errorf("dump jobs %q, %q, want %q, %q", d1.Job, d2.Job, id1, id2)
+	}
+
+	repeat, err := c.Submit(context.Background(), req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, msg = flightOf(t, hs.URL, repeat.Job)
+	if code != http.StatusNotFound || !strings.Contains(msg, "served from cache or store") {
+		t.Errorf("flight of a memo-answered repeat: %d %q, want 404 served from cache or store", code, msg)
+	}
+	if st := s.RunnerStats(); st.Executed != 1 {
+		t.Errorf("repeat simulated again: %+v", st)
+	}
+	if code, d, _ := flightOf(t, hs.URL, id1); code != http.StatusOK || !reflect.DeepEqual(d.Events, d1.Events) {
+		t.Errorf("first job's flight after the repeat: %d, %d events", code, len(d.Events))
 	}
 }

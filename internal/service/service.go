@@ -160,6 +160,8 @@ type Job struct {
 	Trace string // end-to-end trace ID (client-minted or server-minted)
 
 	cancel context.CancelFunc
+	// run is the job's future, shared (with the finished machine's flight
+	// rings, which /flight reads) by every job that attached while it ran.
 	run    *harness.Run
 	start  time.Time
 	tenant string        // TenantHeader value at admission; "" = anonymous
@@ -170,7 +172,6 @@ type Job struct {
 	errMsg    string
 	fromStore bool
 	elapsed   time.Duration
-	flight    obs.FlightDump // the simulation's flight-recorder tail
 }
 
 // New builds a Server (opening the store when configured) but does not
@@ -662,6 +663,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // queue slot. Exactly one reap per admitted job.
 func (s *Server) reap(job *Job) {
 	res, err := job.run.Result()
+	job.cancel() // the run is over: unregister the job's context from s.baseCtx
 	if err != nil {
 		job.errMsg = err.Error()
 	} else {
@@ -669,14 +671,6 @@ func (s *Server) reap(job *Job) {
 		job.fromStore = job.run.FromStore()
 	}
 	job.elapsed = time.Since(job.start)
-	// Capture the flight-recorder tail before publishing the job as done:
-	// on failure it is the dump embedded in the error (the window around
-	// the hang/violation), on success the machine's rings, with the count
-	// of events they overwrote.
-	if d := job.run.Flight(); len(d.Events) > 0 {
-		d.Job, d.Label, d.Trace = job.ID, job.Label, job.Trace
-		job.flight = d
-	}
 	// One umbrella span per job, covering admission to completion, so the
 	// Chrome trace shows queue wait + store lookup + sim phases nested
 	// under the job they belong to.
@@ -857,9 +851,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.status(job))
 }
 
-// handleJobFlight serves the job's flight-recorder dump: the tail of sim
-// events leading up to completion (or, for a failed job, up to the hang or
-// violation the watchdog diagnosed). Render it with misar-trace -from-flight.
+// handleJobFlight serves the job's flight-recorder dump, built from its
+// run's rings on each request: the tail of sim events leading up to
+// completion (or, for a failed job, up to the hang or violation the
+// watchdog diagnosed). Render it with misar-trace -from-flight.
 func (s *Server) handleJobFlight(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.lookup(r.PathValue("id"))
 	if !ok {
@@ -872,12 +867,14 @@ func (s *Server) handleJobFlight(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, apiError{Error: "job still running; flight dump is available on completion"})
 		return
 	}
-	if len(job.flight.Events) == 0 {
+	d := job.run.Flight()
+	if len(d.Events) == 0 {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "no flight events recorded (result served from cache or store)"})
 		return
 	}
+	d.Job, d.Label, d.Trace = job.ID, job.Label, job.Trace
 	w.Header().Set(TraceHeader, job.Trace)
-	writeJSON(w, http.StatusOK, job.flight)
+	writeJSON(w, http.StatusOK, d)
 }
 
 // handleJobTrace serves the job's server-side spans as a Chrome trace (load

@@ -7,11 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"misar/internal/obs"
 	"misar/internal/service"
 	"misar/internal/service/client"
 )
@@ -409,5 +412,51 @@ func TestHeartbeats(t *testing.T) {
 	}
 	if running == 0 {
 		t.Error("no running heartbeats observed")
+	}
+}
+
+// heapInUse returns the live heap after a full collection.
+func heapInUse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestServerRetainsAtMostARingPerJob: a long-lived server's heap grows per
+// distinct job by at most the job record and the one flight ring it owns,
+// by pointer — the runner's memo keeps results, not machines, and reap
+// copies no dump.
+func TestServerRetainsAtMostARingPerJob(t *testing.T) {
+	s, _, c := newServer(t, service.Options{Workers: 1})
+	apps := []string{"streamcluster", "fluidanimate"}
+	submit := func(app, cfg string) {
+		t.Helper()
+		final, err := c.Submit(context.Background(), service.JobRequest{App: app, Config: cfg, Tiles: 4}, nil)
+		if err != nil || final.Event != "done" {
+			t.Fatalf("%s on %s: %+v, %v", app, cfg, final, err)
+		}
+	}
+	for _, app := range apps {
+		submit(app, "ideal") // warm-up: the connection and lazily built server state
+	}
+	configs := []string{"pthread", "spinlock", "mcs-tour", "mcs-tree", "msa0", "msaomu1", "msaomu2", "msaomu4", "msainf", "tm"}
+	before := heapInUse()
+	for _, app := range apps {
+		for _, cfg := range configs {
+			submit(app, cfg)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil { // every reap has finished
+		t.Fatal(err)
+	}
+	per := (heapInUse() - before) / int64(len(apps)*len(configs))
+	runtime.KeepAlive(s)
+	t.Logf("retained per job: %d bytes", per)
+	ring := int64(obs.DefaultFlightCapacity) * int64(unsafe.Sizeof(obs.FlightEvent{}))
+	if per > ring+16<<10 {
+		t.Errorf("each distinct job retains %d bytes, want at most one %d-byte flight ring plus 16 KiB", per, ring)
 	}
 }

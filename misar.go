@@ -133,8 +133,8 @@ var (
 	// NewMetricsRegistry builds an empty metrics registry.
 	NewMetricsRegistry = metrics.NewRegistry
 	// WriteChromeTrace renders a machine's flight stream (Machine.
-	// FlightEvents; resize its Flights rings first to keep a whole run) as
-	// Chrome trace-event JSON (Perfetto-loadable).
+	// FlightDump().Events; resize its Flights rings first to keep a whole
+	// run) as Chrome trace-event JSON (Perfetto-loadable).
 	WriteChromeTrace = obs.WriteChrome
 )
 
