@@ -116,6 +116,7 @@ type Core struct {
 	// event firing, because the issuing thread stays blocked until then.
 	pendReq   threadReq
 	memDone   func(v uint64)
+	pollDone  func(v uint64) // memDone for a Poll's loads
 	idealDone func(res isa.Result)
 	rmwFn     coherence.RMWFunc
 	// reqPool supplies outgoing MSA requests (nil: plain allocation).
@@ -189,6 +190,7 @@ func NewCore(id, tiles int, cfg Config, engine *sim.Engine, l1 *coherence.L1,
 		expectGrant: make(map[memory.Addr]int),
 	}
 	c.memDone = func(v uint64) { c.resume(c.cur, v) }
+	c.pollDone = func(v uint64) { c.pollLoaded(c.cur, v) }
 	c.idealDone = func(res isa.Result) { c.resumeSyncResult(c.cur, res) }
 	// rmwFn interprets the pending RMW request when the L1 commits it. The
 	// core has one access in flight at a time and the issuing thread stays
@@ -289,6 +291,33 @@ func (c *Core) dispatch(t *Thread, r threadReq) {
 		c.stats.SyncIssued[r.op]++
 		c.fl(obs.FIssue, r.addr, uint32(r.op))
 		c.handleSync(t, r)
+	case reqPoll:
+		// The Poll lives in the thread, not the core, so a suspension can
+		// carry it to another core (parkedPoll, parkedReissue).
+		t.reissue = r
+		c.l1.Access(r.addr, coherence.AccLoad, 0, nil, c.pollDone)
+	}
+}
+
+// pollLoaded continues the current thread's Poll after one of its loads
+// committed with value v. It makes the engine calls the thread-side loop
+// would make after that Load returned: end the wait, or pay the pause
+// (Compute(0) is no handoff, so a zero pause loads again at once).
+func (c *Core) pollLoaded(t *Thread, v uint64) {
+	if t.wantSuspend {
+		t.park(parkedPoll, v) // Resume tests v here, as the loop would
+		return
+	}
+	r := &t.reissue
+	switch {
+	case r.until.Holds(v, r.val):
+		t.toThread <- v
+		c.await()
+	case r.cycles == 0:
+		c.l1.Access(r.addr, coherence.AccLoad, 0, nil, c.pollDone)
+	default:
+		c.stats.ComputeCycles += r.cycles
+		c.engine.AfterCall(sim.Time(r.cycles), corePollPauseDone, c)
 	}
 }
 
@@ -341,6 +370,18 @@ func (c *Core) handleSync(t *Thread, r threadReq) {
 // Each fires while the issuing thread's operation is the core's only
 // outstanding work, so c.cur is still the issuing thread.
 func coreComputeDone(arg any) { c := arg.(*Core); c.resume(c.cur, 0) }
+
+// corePollPauseDone ends one pause of a Poll: the next load, or, with a
+// suspension pending, a park that re-issues the Poll on Resume.
+func corePollPauseDone(arg any) {
+	c := arg.(*Core)
+	t := c.cur
+	if t.wantSuspend {
+		t.park(parkedReissue, 0)
+		return
+	}
+	c.l1.Access(t.reissue.addr, coherence.AccLoad, 0, nil, c.pollDone)
+}
 
 func coreResumeFail(arg any) { c := arg.(*Core); c.resume(c.cur, uint64(isa.Fail)) }
 

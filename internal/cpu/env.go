@@ -7,6 +7,12 @@
 // simulation stays deterministic while workload and synchronization-library
 // code reads as ordinary sequential Go.
 //
+// Each operation costs one handoff to the kernel and back, which dominates
+// the simulator's wall time. A spin-wait (Env.Poll) therefore runs on the
+// core: the core issues the loop's loads and pauses itself, making the same
+// engine calls in the same order as the thread-side loop would, and hands
+// control back to the thread once, when the wait ends.
+//
 // Each core runs one thread at a time (the paper's configuration). The
 // scheduler shim supports suspending a thread, resuming it on the same or a
 // different core (migration), which exercises the MSA's SUSPEND/ABORT paths.
@@ -38,6 +44,16 @@ type Env interface {
 	FetchAdd(a memory.Addr, delta uint64) uint64
 	Swap(a memory.Addr, v uint64) uint64
 	CAS(a memory.Addr, old, new uint64) bool
+	// Poll spin-waits on one word: it runs
+	//
+	//	v := Load(a)
+	//	for !until.Holds(v, x) { Compute(pause); v = Load(a) }
+	//
+	// and returns the v that ended the wait. The core runs the loop, so
+	// the whole wait costs one handoff instead of two per iteration; its
+	// simulated timing, and where a pending suspension takes effect (after
+	// any load or pause), are exactly the loop's.
+	Poll(a memory.Addr, until Until, x, pause uint64) uint64
 	// Sync executes a synchronization instruction. goal is the barrier
 	// participant count; lock is COND_WAIT's associated lock.
 	Sync(op isa.SyncOp, addr memory.Addr, goal int, lock memory.Addr) isa.Result
@@ -57,6 +73,29 @@ type Env interface {
 	Flight() *obs.FlightRecorder
 }
 
+// Until is the exit condition of a Poll: the wait ends on the first loaded
+// value v for which Holds(v, x) is true.
+type Until uint8
+
+const (
+	UntilEq Until = iota // v == x
+	UntilNe              // v != x
+	UntilGe              // v >= x
+)
+
+// Holds reports whether v ends a Poll whose exit condition is u with
+// operand x.
+func (u Until) Holds(v, x uint64) bool {
+	switch u {
+	case UntilEq:
+		return v == x
+	case UntilNe:
+		return v != x
+	default: // UntilGe
+		return v >= x
+	}
+}
+
 // reqKind enumerates thread→kernel requests.
 type reqKind uint8
 
@@ -66,6 +105,7 @@ const (
 	reqStore
 	reqRMW
 	reqSync
+	reqPoll // addr, until, val = x, cycles = pause
 )
 
 // rmwKind selects the atomic read-modify-write operation. RMW requests carry
@@ -87,6 +127,7 @@ type threadReq struct {
 	val2   uint64
 	rmw    rmwKind
 	op     isa.SyncOp
+	until  Until
 	goal   int
 	lock   memory.Addr
 }
@@ -145,6 +186,10 @@ func (e env) Swap(a memory.Addr, v uint64) uint64 {
 
 func (e env) CAS(a memory.Addr, old, new uint64) bool {
 	return e.call(threadReq{kind: reqRMW, addr: a, rmw: rmwCAS, val: new, val2: old}) == 1
+}
+
+func (e env) Poll(a memory.Addr, until Until, x, pause uint64) uint64 {
+	return e.call(threadReq{kind: reqPoll, addr: a, until: until, val: x, cycles: pause})
 }
 
 func (e env) Sync(op isa.SyncOp, addr memory.Addr, goal int, lock memory.Addr) isa.Result {

@@ -12,6 +12,7 @@ const (
 	parkedNone parkKind = iota
 	parkedResult
 	parkedReissue
+	parkedPoll // a Poll's load returned parkVal; Resume tests it
 )
 
 // Thread is one simulated software thread: a goroutine exchanging requests
@@ -31,9 +32,9 @@ type Thread struct {
 	wantSuspend bool
 	parked      parkKind
 	parkVal     uint64
-	reissue     threadReq
-	onParked    func() // scheduler notification, may be nil
-	onDone      func() // completion notification, may be nil
+	reissue     threadReq // also holds the Poll the thread waits in
+	onParked    func()    // scheduler notification, may be nil
+	onDone      func()    // completion notification, may be nil
 }
 
 // ID returns the thread id.
@@ -183,6 +184,8 @@ func (x *Complex) Resume(t *Thread, core int) {
 		c.resume(t, t.parkVal)
 	case parkedReissue:
 		c.dispatch(t, t.reissue)
+	case parkedPoll:
+		c.pollLoaded(t, t.parkVal)
 	}
 }
 

@@ -133,11 +133,11 @@ type Checker struct {
 	violations []Violation
 	count      *metrics.Counter
 
-	swLevel map[memory.Addr]int         // threads active in the SW path, per address
-	locks   map[memory.Addr]lockHold    // currently-held locks
-	lockWts map[memory.Addr]map[int]World // threads waiting for a lock in SW
-	condWts map[memory.Addr]map[int]bool  // threads waiting on a SW condvar
-	epochs  map[memory.Addr]*barrierEpoch
+	swLevel  map[memory.Addr]int           // threads active in the SW path, per address
+	locks    map[memory.Addr]lockHold      // currently-held locks
+	lockWts  map[memory.Addr]map[int]World // threads waiting for a lock in SW
+	condWts  map[memory.Addr]map[int]bool  // threads waiting on a SW condvar
+	epochs   map[memory.Addr]*barrierEpoch
 	shardHWM map[int]sim.Time // per-shard high-water cross-shard delivery timestamp
 
 	// TM shadow state (see internal/tm and the tm-commit model): a
@@ -152,12 +152,12 @@ type Checker struct {
 // violation timestamps (nil is allowed and stamps 0).
 func NewChecker(now func() sim.Time) *Checker {
 	return &Checker{
-		now:     now,
-		swLevel: make(map[memory.Addr]int),
-		locks:   make(map[memory.Addr]lockHold),
-		lockWts: make(map[memory.Addr]map[int]World),
-		condWts: make(map[memory.Addr]map[int]bool),
-		epochs:  make(map[memory.Addr]*barrierEpoch),
+		now:      now,
+		swLevel:  make(map[memory.Addr]int),
+		locks:    make(map[memory.Addr]lockHold),
+		lockWts:  make(map[memory.Addr]map[int]World),
+		condWts:  make(map[memory.Addr]map[int]bool),
+		epochs:   make(map[memory.Addr]*barrierEpoch),
 		shardHWM: make(map[int]sim.Time),
 		tmGen:    make(map[memory.Addr]uint64),
 		tmReads:  make(map[int]map[memory.Addr]uint64),

@@ -99,7 +99,7 @@ func TestSteerDuringReleaseRace(t *testing.T) {
 	cfg.Invariants = true
 	cfg.Fault = fault.Plan{
 		Seed:      0xC0FFEE,
-		SteerRate: 20000, // ~30% of allocatable acquires steered anyway
+		SteerRate: 20000,              // ~30% of allocatable acquires steered anyway
 		AckRate:   40000, AckMax: 400, // ~61% of responses held up to 400 cycles
 		NoCRate: 30000, NoCMax: 100,
 	}

@@ -23,11 +23,11 @@ const ReportSchema = 1
 // behaviour), so two reports of the same simulation are byte-identical and
 // reports diff cleanly across code changes.
 type Report struct {
-	Schema  int    `json:"schema"`
-	Kind    string `json:"kind"` // "app" or "micro"
-	App     string `json:"app"`
-	Config  string `json:"config"`
-	Lib     string `json:"lib,omitempty"`
+	Schema int    `json:"schema"`
+	Kind   string `json:"kind"` // "app" or "micro"
+	App    string `json:"app"`
+	Config string `json:"config"`
+	Lib    string `json:"lib,omitempty"`
 	Tiles  int    `json:"tiles"`
 	Cycles uint64 `json:"cycles"`
 	// Metrics is marshalled by inlining its maps as top-level counters/

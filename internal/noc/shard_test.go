@@ -157,4 +157,3 @@ func TestSetShardsRejectsIncompatibleModes(t *testing.T) {
 	nMap := New(g.Engine(0), DefaultConfig(4, 4))
 	mustPanic("bad tile map", func() { nMap.SetShards(g, func(int) int { return 7 }) })
 }
-

@@ -1,12 +1,16 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"misar/internal/harness"
+	"misar/internal/store"
 )
 
 // White-box tests for per-tenant admission quotas: the bookkeeping around
@@ -34,8 +38,23 @@ func TestTenantQuotaDefaultsToQuarterQueue(t *testing.T) {
 	}
 }
 
+// heldStore answers no lookup until its context ends, so every run that
+// consults it stays unfinished and every job on such a run keeps its
+// tenant slot.
+type heldStore struct{ *store.Store }
+
+func (h heldStore) GetCtx(ctx context.Context, _ string) ([]byte, bool) {
+	<-ctx.Done()
+	return nil, false
+}
+
 func TestTenantQuotaBreachAndRecovery(t *testing.T) {
-	s, err := New(Options{Workers: 1, QueueLimit: 8, TenantQuota: 2})
+	// The jobs admitted below are identical, so they share one run; the
+	// held store keeps it from finishing (until Close cancels it), or a
+	// finished run would answer acme's last job from the memo and reap it
+	// before its slot is read.
+	s, err := New(Options{Workers: 1, QueueLimit: 8, TenantQuota: 2, StoreDir: t.TempDir(),
+		WrapStore: func(st *store.Store) harness.ResultStore { return heldStore{st} }})
 	if err != nil {
 		t.Fatal(err)
 	}

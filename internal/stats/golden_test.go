@@ -19,8 +19,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with 
 // -run Golden -update-golden` refreshes the file).
 func TestTableRenderGolden(t *testing.T) {
 	tbl := NewTable("Fig6: speedup vs pthread", "MSA-0", "MCS-Tour", "MSA/OMU-2")
-	tbl.AddRow("radiosity/64c", 1.0449, 1.18, 1.2399)          // rounds down
-	tbl.AddRow("streamcluster/64c", 0.997, 2.26, 7.506)        // rounds up, widens col
+	tbl.AddRow("radiosity/64c", 1.0449, 1.18, 1.2399)   // rounds down
+	tbl.AddRow("streamcluster/64c", 0.997, 2.26, 7.506) // rounds up, widens col
 	tbl.AddRow("a-very-long-benchmark-name/64c", 0.5, 10.25, 100.125)
 	tbl.AddRowInts("sync ops", 12, 3456, 789)
 	tbl.AddRowStrings("notes", "HW", "SW", "HW+OMU")

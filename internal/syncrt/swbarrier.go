@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"misar/internal/cpu"
 	"misar/internal/fault"
 	"misar/internal/memory"
 )
@@ -65,9 +66,7 @@ func (t *T) centralBarrier(b Barrier) {
 		t.E.Store(b.Addr+8, g) // publish release generation
 		return
 	}
-	for t.E.Load(b.Addr+8) < g {
-		t.E.Compute(barrierPollCycles)
-	}
+	t.E.Poll(b.Addr+8, cpu.UntilGe, g, barrierPollCycles)
 }
 
 // Tournament flag addressing within the barrier's arena.
@@ -101,18 +100,14 @@ func (t *T) tournamentBarrier(b Barrier) {
 			// Winner (or bye): wait for this round's loser, if it exists.
 			partner := i + 1<<k
 			if partner < b.Goal {
-				for t.E.Load(tourArrive(b, k, partner)) < g {
-					t.E.Compute(pauseCycles)
-				}
+				t.E.Poll(tourArrive(b, k, partner), cpu.UntilGe, g, pauseCycles)
 			}
 			wonUpTo = k + 1
 			continue
 		}
 		// Loser: notify the winner, then wait for release.
 		t.E.Store(tourArrive(b, k, i), g)
-		for t.E.Load(tourRelease(b, rounds, i)) < g {
-			t.E.Compute(barrierPollCycles)
-		}
+		t.E.Poll(tourRelease(b, rounds, i), cpu.UntilGe, g, barrierPollCycles)
 		break
 	}
 	// Release phase: wake the losers of every round this thread won,
@@ -228,9 +223,7 @@ func (t *T) treeBarrier(b Barrier) {
 		idx /= treeAry
 	}
 	if spinAt.level >= 0 {
-		for t.E.Load(treeRelease(b, levels, spinAt.level, spinAt.idx)) < g {
-			t.E.Compute(barrierPollCycles)
-		}
+		t.E.Poll(treeRelease(b, levels, spinAt.level, spinAt.idx), cpu.UntilGe, g, barrierPollCycles)
 	} else {
 		// Completed the root: every participant's arrival has been combined
 		// into this thread's final count — close the checker episode before

@@ -1,5 +1,7 @@
 package syncrt
 
+import "misar/internal/cpu"
+
 // Software condition variables with Mesa semantics: the cond word is a
 // generation counter; waiters record it, release the mutex, and poll until
 // it changes; signal and broadcast bump it. All woken spinners re-acquire
@@ -21,9 +23,7 @@ func (t *T) swCondWait(c Cond, m Mutex) {
 	t.E.Compute(condCallOverhead)
 	g := t.E.Load(c.Addr)
 	t.Unlock(m)
-	for t.E.Load(c.Addr) == g {
-		t.E.Compute(condPollCycles)
-	}
+	t.E.Poll(c.Addr, cpu.UntilNe, g, condPollCycles)
 	t.Lock(m)
 }
 

@@ -3,6 +3,7 @@ package syncrt
 import (
 	"fmt"
 
+	"misar/internal/cpu"
 	"misar/internal/memory"
 )
 
@@ -105,9 +106,7 @@ func (t *T) spinLock(a memory.Addr) {
 // spin on the now-serving word.
 func (t *T) ticketLock(a memory.Addr) {
 	ticket := t.E.FetchAdd(a, 1)
-	for t.E.Load(a+8) != ticket {
-		t.E.Compute(pauseCycles)
-	}
+	t.E.Poll(a+8, cpu.UntilEq, ticket, pauseCycles)
 }
 
 // mcsLock enqueues this thread's node and spins locally on its own line.
@@ -120,9 +119,7 @@ func (t *T) mcsLock(a memory.Addr) {
 		return
 	}
 	t.E.Store(memory.Addr(pred), uint64(n)) // pred.next = n
-	for t.E.Load(n+8) != 0 {
-		t.E.Compute(pauseCycles)
-	}
+	t.E.Poll(n+8, cpu.UntilEq, 0, pauseCycles)
 }
 
 func (t *T) mcsUnlock(a memory.Addr) {
@@ -133,13 +130,7 @@ func (t *T) mcsUnlock(a memory.Addr) {
 			return
 		}
 		// A successor is enqueueing: wait for it to link itself.
-		for {
-			next = t.E.Load(n)
-			if next != 0 {
-				break
-			}
-			t.E.Compute(pauseCycles)
-		}
+		next = t.E.Poll(n, cpu.UntilNe, 0, pauseCycles)
 	}
 	t.E.Store(memory.Addr(next)+8, 0) // successor.locked = false
 }

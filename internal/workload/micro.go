@@ -226,9 +226,7 @@ func microCond(cfg machine.Config, lib *syncrt.Lib, bcast bool) MicroResult {
 				}
 				rt.Unlock(lock)
 				// Wait until all wakeups for this round are consumed.
-				for e.Load(woken) < uint64((r+1)*waiters) {
-					e.Compute(200)
-				}
+				e.Poll(woken, cpu.UntilGe, uint64((r+1)*waiters), 200)
 			}
 			return
 		}

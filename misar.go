@@ -61,6 +61,8 @@ type (
 	Machine = machine.Machine
 	// Env is the execution environment a simulated thread sees.
 	Env = cpu.Env
+	// Until is the exit condition of an Env.Poll spin-wait.
+	Until = cpu.Until
 	// Thread is a simulated software thread (for suspend/resume/migration).
 	Thread = cpu.Thread
 	// Time is the simulated clock in cycles.
@@ -146,6 +148,14 @@ var (
 	MCSTourLib = syncrt.MCSTourLib
 	MCSTreeLib = syncrt.MCSTreeLib
 	HWLib      = syncrt.HWLib
+)
+
+// Env.Poll exit conditions: the wait ends on the first loaded value v with
+// v == x, v != x or v >= x.
+const (
+	UntilEq = cpu.UntilEq
+	UntilNe = cpu.UntilNe
+	UntilGe = cpu.UntilGe
 )
 
 // Condition-variable semantics (set Lib.Cond).
