@@ -13,12 +13,12 @@ test:
 race:
 	$(GO) test -race ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/service/... ./internal/store/... ./internal/fleet/...
 
-# bench renders every figure once (-benchtime=1x) plus the event-kernel
-# microbenchmarks, gates against the committed BENCH_kernel.json (>15%
-# ns/op or allocs/op regression fails), and refreshes the report in place.
+# bench gates the kernel and layer microbenchmarks of the working tree
+# against HEAD, both measured in this session (10 alternating pairs, medians
+# within 15%, zero-alloc rows at 0); see cmd/misar-bench. The end-to-end
+# benchmark is `bash bench/run.sh`.
 bench:
-	$(GO) run ./cmd/misar-bench -benchtime 1x -out /tmp/bench_fresh.json -against BENCH_kernel.json
-	mv /tmp/bench_fresh.json BENCH_kernel.json
+	$(GO) run ./cmd/misar-bench -base HEAD
 
 # verify certifies the protocol models by exhaustive counter-abstraction
 # model checking, proves the broken variants are detected (expected exit 1),

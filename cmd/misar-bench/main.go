@@ -1,372 +1,371 @@
-// Command misar-bench runs the repository's benchmark suite and emits a
-// machine-readable BENCH_kernel.json. It shells out to `go test -bench`, so
-// the numbers are exactly what a developer sees at the command line, and
-// compares every benchmark against the checked-in seed-kernel baseline
-// (baseline.txt: commit 6fedd5c, container/heap engine, closure-per-hop NoC,
-// unpooled messages) to report speedup and allocation ratios.
+// Command misar-bench gates the kernel and layer microbenchmarks of a change
+// against a base revision measured in the same session, on the same host.
+// A committed file of absolute ns/op cannot tell host drift from a code
+// regression; two builds timed side by side can.
 //
-// A second pass runs the BenchmarkParallel* suite — the sharded conservative
-// kernel's serving paths — and writes BENCH_parallel.json, tagged with the
-// shard count and GOMAXPROCS so reports from differently provisioned hosts
-// are never compared blindly.
+// Run it from the repository root:
 //
-// Usage:
+//	misar-bench                        # the working tree against HEAD
+//	misar-bench -base main -out gate.txt
 //
-//	misar-bench                         # figures at -benchtime=1x, kernel microbench
-//	misar-bench -benchtime 3x -out b.json
-//	misar-bench -against BENCH_kernel.json -max-regress 15
-//	misar-bench -shards 4 -parallel-out b_par.json
-//	misar-bench -against-parallel BENCH_parallel.json
+// It materialises -base in a temporary directory (git archive), builds each
+// benchmarked package's test binary once per side, and runs every benchmark
+// of the fixed table below in 10 alternating pairs, flipping which side runs
+// first every pair, at a fixed iteration count and the same -test.cpu on
+// both sides. The gate then compares medians:
 //
-// With -against (and -against-parallel for the sharded report), the freshly
-// measured numbers are compared to a previously committed report: any
-// benchmark whose ns/op or allocs/op regressed by more than -max-regress
-// percent fails the run with exit 1. The parallel gate additionally refuses
-// to compare reports taken at different shard counts or GOMAXPROCS. CI runs
-// both gates against the checked-in reports; see .github/workflows/ci.yml
-// and the Makefile `bench` target.
+//   - the change's ns/op and allocs/op must stay within 1.15× the base's;
+//   - a benchmark at 0 allocs/op on the base must stay at 0;
+//   - a benchmark the base has but the change lacks fails;
+//   - the change's EngineChurnFlight/EngineChurnBare ratio, the median over
+//     pairs of the two samples' ratio, must stay ≤ 1.05 (the flight recorder
+//     is always on; a slower Record is what the FlightRecord row against the
+//     base catches).
+//
+// The report lists both sides' medians and quartiles with GOMAXPROCS, the go
+// version and the CPU; -out writes the same text to a file. Exit status 1
+// means a budget was broken, 2 that the gate could not run.
+//
+// The end-to-end ledger (figure sweep, sharded 1024-tile run, served jobs)
+// is the bench module; see bench/README.md.
 package main
 
 import (
-	_ "embed"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
-//go:embed baseline.txt
-var baselineText string
+const (
+	pairs        = 10   // alternating base/change pairs per benchmark
+	maxRatio     = 1.15 // change median over base median, ns/op and allocs/op
+	flightBudget = 1.05 // change's EngineChurnFlight/EngineChurnBare, median over pairs
+	runTimeout   = "2m" // -test.timeout of one benchmark run
+	flightBench  = "EngineChurnFlight"
+	bareBench    = "EngineChurnBare"
+)
+
+// benchmarks is the gated table. Each iteration count makes one sample take
+// 0.2–0.3 s on a 2-vCPU host, long enough to average over scheduler noise
+// and short enough for 2×10 samples of every row.
+var benchmarks = []struct {
+	pkg, name string
+	iters     int
+}{
+	{"./internal/sim", "EngineChurn", 5_000_000},
+	{"./internal/sim", "EngineChurnClosure", 15_000_000},
+	{"./internal/sim", "EngineScheduleRun", 1_600},
+	{"./internal/obs", "FlightRecord", 25_000_000},
+	{"./internal/obs", bareBench, 5_000_000},
+	{"./internal/obs", flightBench, 5_000_000},
+	{"./internal/obs", "FlightSnapshot", 12_000},
+	{"./internal/noc", "MeshAllToAll", 6_000},
+	{"./internal/coherence", "CoherencePingPong", 2_400},
+}
 
 // result is one parsed benchmark line.
 type result struct {
-	Name       string  `json:"name"`
-	Iterations int64   `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	// Not omitempty: allocs_per_op == 0 is the kernel's headline claim.
-	BytesPerOp  float64            `json:"bytes_per_op"`
-	AllocsPerOp float64            `json:"allocs_per_op"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-
-	// Baseline comparison, present when baseline.txt has the same benchmark.
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
-	Speedup         float64 `json:"speedup,omitempty"`
-	AllocRatio      float64 `json:"alloc_ratio,omitempty"`
+	Name        string
+	NsPerOp     float64
+	AllocsPerOp float64
 }
 
-type report struct {
-	Schema    string `json:"schema"`
-	GoVersion string `json:"go_version"`
-	Benchtime string `json:"benchtime"`
-	// Shards and GOMAXPROCS are set only in the parallel report
-	// (misar-bench/parallel/v1): sharded wall-clock depends on both, so a
-	// gate must never compare reports taken under different values.
-	Shards         int       `json:"shards,omitempty"`
-	GOMAXPROCS     int       `json:"gomaxprocs,omitempty"`
-	BaselineCommit string    `json:"baseline_commit,omitempty"`
-	Results        []result  `json:"results"`
-	TotalNs        float64   `json:"total_ns"`
-	BaselineNs     float64   `json:"baseline_total_ns"`
-	TotalSpeedup   float64   `json:"total_speedup"`
-	WallSeconds    float64   `json:"wall_seconds"`
-	GeneratedAt    time.Time `json:"generated_at"`
-}
-
-// benchLine matches one `go test -bench` result row; the trailing metrics
-// ("418 ns/op", "1.440 geomean-speedup", "8 B/op") stay as one blob for
-// pair-wise tokenizing below.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.+)$`)
+// benchLine matches one `go test -bench -benchmem` result row, dropping the
+// -GOMAXPROCS suffix from the name; cpuLine, the CPU the testing package
+// names in its header.
+var (
+	benchLine = regexp.MustCompile(`(?m)^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+(\S+) ns/op.*\s(\S+) allocs/op`)
+	cpuLine   = regexp.MustCompile(`(?m)^cpu: (.+)$`)
+)
 
 func parse(out string) []result {
 	var rs []result
-	for _, line := range strings.Split(out, "\n") {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
+	for _, m := range benchLine.FindAllStringSubmatch(out, -1) {
+		ns, err := strconv.ParseFloat(m[2], 64)
+		allocs, err2 := strconv.ParseFloat(m[3], 64)
+		if err == nil && err2 == nil {
+			rs = append(rs, result{Name: m[1], NsPerOp: ns, AllocsPerOp: allocs})
 		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		r := result{Name: strings.TrimPrefix(m[1], "Benchmark"), Iterations: iters}
-		fields := strings.Fields(m[3])
-		for i := 0; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				r.NsPerOp = v
-			case "B/op":
-				r.BytesPerOp = v
-			case "allocs/op":
-				r.AllocsPerOp = v
-			default:
-				if r.Extra == nil {
-					r.Extra = map[string]float64{}
-				}
-				r.Extra[unit] = v
-			}
-		}
-		rs = append(rs, r)
 	}
 	return rs
 }
 
-// run executes one `go test -bench` invocation and returns its stdout.
-// extra is appended after -args (flags for the test binary itself).
-func run(pkg, bench, benchtime string, extra ...string) (string, error) {
-	args := []string{"test", "-run", "^$", "-bench", bench,
-		"-benchtime", benchtime, "-benchmem", pkg}
-	if len(extra) > 0 {
-		args = append(append(args, "-args"), extra...)
-	}
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go test -bench %s %s: %w", bench, pkg, err)
-	}
-	return string(out), nil
+// summary is one benchmark's samples on one side, reduced to quartiles.
+type summary struct {
+	Name           string
+	Q1, Median, Q3 float64 // ns/op
+	Allocs         float64 // median allocs/op
 }
 
-// regressions compares a fresh report against a committed one and returns
-// one line per benchmark that got slower (ns/op) or more allocation-hungry
-// (allocs/op) by more than maxRegress percent. Benchmarks missing from the
-// committed report are new and pass; benchmarks that vanished are reported —
-// a silently dropped benchmark would otherwise hide its regression forever.
-func regressions(cur, prev []result, maxRegress float64) []string {
-	limit := 1 + maxRegress/100
-	curByName := map[string]result{}
-	for _, r := range cur {
-		curByName[r.Name] = r
+// quantile interpolates linearly between the closest ranks of sorted.
+func quantile(sorted []float64, p float64) float64 {
+	pos := p * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo+1 >= len(sorted) {
+		return sorted[len(sorted)-1]
 	}
-	var bad []string
-	for _, p := range prev {
-		c, ok := curByName[p.Name]
-		if !ok {
-			bad = append(bad, fmt.Sprintf("%s: present in the committed report but no longer measured", p.Name))
-			continue
-		}
-		if p.NsPerOp > 0 && c.NsPerOp > p.NsPerOp*limit {
-			bad = append(bad, fmt.Sprintf("%s: %.0f ns/op vs committed %.0f (+%.1f%%, limit %.0f%%)",
-				p.Name, c.NsPerOp, p.NsPerOp, 100*(c.NsPerOp/p.NsPerOp-1), maxRegress))
-		}
-		if p.AllocsPerOp > 0 && c.AllocsPerOp > p.AllocsPerOp*limit {
-			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op vs committed %.0f (+%.1f%%, limit %.0f%%)",
-				p.Name, c.AllocsPerOp, p.AllocsPerOp, 100*(c.AllocsPerOp/p.AllocsPerOp-1), maxRegress))
-		}
-		// Zero-alloc benchmarks are the kernel's headline claim: any alloc
-		// at all is a regression no percentage threshold can express.
-		if p.AllocsPerOp == 0 && c.AllocsPerOp > 0 {
-			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op vs committed 0 (zero-alloc claim broken)",
-				p.Name, c.AllocsPerOp))
-		}
-	}
-	return bad
+	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
 }
 
-// find returns the named result, or nil.
-func find(rs []result, name string) *result {
-	for i := range rs {
-		if rs[i].Name == name {
-			return &rs[i]
+// summarize reduces each benchmark's samples in rs, in first-seen order.
+func summarize(rs []result) []summary {
+	var order []string
+	ns, allocs := map[string][]float64{}, map[string][]float64{}
+	for _, r := range rs {
+		if _, ok := ns[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		ns[r.Name] = append(ns[r.Name], r.NsPerOp)
+		allocs[r.Name] = append(allocs[r.Name], r.AllocsPerOp)
+	}
+	out := make([]summary, 0, len(order))
+	for _, name := range order {
+		t, a := ns[name], allocs[name]
+		slices.Sort(t)
+		slices.Sort(a)
+		out = append(out, summary{Name: name, Q1: quantile(t, 0.25), Median: quantile(t, 0.5),
+			Q3: quantile(t, 0.75), Allocs: quantile(a, 0.5)})
+	}
+	return out
+}
+
+func find(ss []summary, name string) *summary {
+	for i := range ss {
+		if ss[i].Name == name {
+			return &ss[i]
 		}
 	}
 	return nil
 }
 
-func main() {
-	out := flag.String("out", "BENCH_kernel.json", "output JSON path")
-	benchtime := flag.String("benchtime", "1x", "benchtime for the figure benchmarks")
-	storeDir := flag.String("store", "", "persistent result store for the figure benchmarks (warm runs measure store replay, not simulation)")
-	against := flag.String("against", "", "committed report to gate against; >max-regress%% slowdown fails")
-	maxRegress := flag.Float64("max-regress", 15, "regression threshold in percent for -against")
-	parallelOut := flag.String("parallel-out", "BENCH_parallel.json", "output JSON path for the sharded-kernel report")
-	shards := flag.Int("shards", 2, "shard count for the BenchmarkParallel* suite")
-	againstParallel := flag.String("against-parallel", "", "committed parallel report to gate against (same thresholds as -against)")
-	flag.Parse()
+// regressions returns one line per broken budget of the change against the
+// base, given each side's samples in pair order. Benchmarks only the change
+// has are new and pass; benchmarks that vanished fail, or a dropped
+// benchmark would hide its regression for good.
+func regressions(change, base []result) []string {
+	cur, prev := summarize(change), summarize(base)
+	var bad []string
+	for _, p := range prev {
+		c := find(cur, p.Name)
+		if c == nil {
+			bad = append(bad, fmt.Sprintf("%s: measured on the base but not on the change", p.Name))
+			continue
+		}
+		if c.Median > p.Median*maxRatio {
+			bad = append(bad, fmt.Sprintf("%s: %.4g ns/op vs base %.4g (%+.1f%%, limit +%.0f%%)",
+				p.Name, c.Median, p.Median, 100*(c.Median/p.Median-1), 100*(maxRatio-1)))
+		}
+		switch {
+		case p.Allocs == 0 && c.Allocs > 0:
+			// The zero-alloc kernels' contract: no percentage expresses it.
+			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op vs base 0 (zero-alloc claim broken)", p.Name, c.Allocs))
+		case c.Allocs > p.Allocs*maxRatio:
+			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op vs base %.0f (%+.1f%%, limit +%.0f%%)",
+				p.Name, c.Allocs, p.Allocs, 100*(c.Allocs/p.Allocs-1), 100*(maxRatio-1)))
+		}
+	}
+	if r, ok := flightRatio(change); ok && r > flightBudget {
+		bad = append(bad, fmt.Sprintf("flight recorder: %s/%s = %.3f, limit %.2f", flightBench, bareBench, r, flightBudget))
+	}
+	return bad
+}
 
+// flightRatio is the median over pairs of EngineChurnFlight over
+// EngineChurnBare in rs, one side's samples in pair order. The two samples
+// of a pair run one other run apart, so host noise slower than that
+// cancels out of each ratio.
+func flightRatio(rs []result) (float64, bool) {
+	var bare, flight []float64
+	for _, r := range rs {
+		switch r.Name {
+		case bareBench:
+			bare = append(bare, r.NsPerOp)
+		case flightBench:
+			flight = append(flight, r.NsPerOp)
+		}
+	}
+	if len(bare) == 0 || len(bare) != len(flight) {
+		return 0, false
+	}
+	ratios := make([]float64, len(bare))
+	for i := range bare {
+		ratios[i] = flight[i] / bare[i]
+	}
+	slices.Sort(ratios)
+	return quantile(ratios, 0.5), true
+}
+
+// checkout writes the tree of rev into dir.
+func checkout(rev, dir string) error {
+	tarball := dir + ".tar"
+	if out, err := exec.Command("git", "archive", "-o", tarball, rev).CombinedOutput(); err != nil {
+		return fmt.Errorf("git archive %s: %v: %s", rev, err, out)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if out, err := exec.Command("tar", "-x", "-f", tarball, "-C", dir).CombinedOutput(); err != nil {
+		return fmt.Errorf("extract %s: %v: %s", rev, err, out)
+	}
+	return os.Remove(tarball)
+}
+
+// side is one tree under test: its source root and built test binaries.
+type side struct {
+	label, root string
+	bins        map[string]string // package → test binary
+	samples     []result
+}
+
+func (s *side) build(tmp string) error {
+	s.bins = map[string]string{}
+	for _, b := range benchmarks {
+		if _, ok := s.bins[b.pkg]; ok {
+			continue
+		}
+		// -trimpath: identical source builds byte-identical binaries on
+		// both sides, so their code layout differs only where the code does.
+		bin := filepath.Join(tmp, s.label+"-"+filepath.Base(b.pkg)+".test")
+		cmd := exec.Command("go", "test", "-c", "-trimpath", "-o", bin, b.pkg)
+		cmd.Dir = s.root
+		if out, err := cmd.CombinedOutput(); err != nil {
+			return fmt.Errorf("%s: go test -c %s: %v: %s", s.label, b.pkg, err, out)
+		}
+		s.bins[b.pkg] = bin
+	}
+	return nil
+}
+
+// run takes one sample of benchmark i from the package's directory and
+// returns the binary's output.
+func (s *side) run(i, procs int) (string, error) {
+	b := benchmarks[i]
+	cmd := exec.Command(s.bins[b.pkg], "-test.run", "^$", "-test.bench", "^Benchmark"+b.name+"$",
+		"-test.benchtime", strconv.Itoa(b.iters)+"x", "-test.benchmem",
+		"-test.cpu", strconv.Itoa(procs), "-test.timeout", runTimeout)
+	cmd.Dir = filepath.Join(s.root, b.pkg)
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("%s: Benchmark%s: %v", s.label, b.name, err)
+	}
+	s.samples = append(s.samples, parse(string(out))...)
+	return string(out), nil
+}
+
+// report tabulates both sides' medians and quartiles, then the verdict.
+func report(base, change []result) (text string, pass bool) {
+	bsum, csum := summarize(base), summarize(change)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-20s %34s %34s %6s %14s\n", "benchmark", "base ns/op median [q1, q3]",
+		"change ns/op median [q1, q3]", "ratio", "allocs/op")
+	q := func(s *summary) string {
+		if s == nil {
+			return "-"
+		}
+		return fmt.Sprintf("%.4g [%.4g, %.4g]", s.Median, s.Q1, s.Q3)
+	}
+	for _, b := range benchmarks {
+		bs, cs := find(bsum, b.name), find(csum, b.name)
+		ratio, allocs := "-", "-"
+		if bs != nil && cs != nil {
+			ratio = fmt.Sprintf("%.3f", cs.Median/bs.Median)
+			allocs = fmt.Sprintf("%.0f → %.0f", bs.Allocs, cs.Allocs)
+		}
+		fmt.Fprintf(&sb, "%-20s %34s %34s %6s %14s\n", b.name, q(bs), q(cs), ratio, allocs)
+	}
+	if r, ok := flightRatio(change); ok {
+		fmt.Fprintf(&sb, "change %s/%s, median of pair ratios: %.3f (limit %.2f)\n",
+			flightBench, bareBench, r, flightBudget)
+	}
+	bad := regressions(change, base)
+	if len(bad) == 0 {
+		fmt.Fprintf(&sb, "PASS: every median within %.2f× the base, zero-alloc rows at 0\n", maxRatio)
+		return sb.String(), true
+	}
+	fmt.Fprintf(&sb, "FAIL: %d budget(s) broken\n", len(bad))
+	for _, line := range bad {
+		fmt.Fprintf(&sb, "  %s\n", line)
+	}
+	return sb.String(), false
+}
+
+func gate(rev, outPath string) (int, error) {
 	start := time.Now()
-	// The figure suite at the repository root is the headline workload; the
-	// event-kernel microbenchmarks in internal/sim are too fast for 1x, so
-	// they always run with a fixed iteration count.
-	var extra []string
-	if *storeDir != "" {
-		extra = append(extra, "-store", *storeDir)
-	}
-	figOut, err := run(".", "BenchmarkFig", *benchtime, extra...)
+	tmp, err := os.MkdirTemp("", "misar-bench-")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "misar-bench:", err)
-		os.Exit(1)
+		return 2, err
 	}
-	simOut, err := run("./internal/sim", "BenchmarkEngine", "200000x")
+	defer os.RemoveAll(tmp)
+	commit, err := exec.Command("git", "rev-parse", "--short", rev).Output()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "misar-bench:", err)
-		os.Exit(1)
+		return 2, fmt.Errorf("git rev-parse %s: %v", rev, err)
 	}
-	// Observability-overhead microbenchmarks: the flight recorder is always
-	// on in every machine, so its per-event cost is part of the kernel's
-	// perf contract and is gated like the engine itself. The churn pair
-	// needs millions of iterations for a stable 5% comparison — 200000x is
-	// dominated by scheduler noise on a loaded machine.
-	obsOut, err := run("./internal/obs", "BenchmarkFlightRecord$|BenchmarkEngineChurnBare$|BenchmarkEngineChurnFlight$", "2000000x")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "misar-bench:", err)
-		os.Exit(1)
+	base := &side{label: "base", root: filepath.Join(tmp, "base")}
+	if err := checkout(rev, base.root); err != nil {
+		return 2, err
 	}
-	snapOut, err := run("./internal/obs", "BenchmarkFlightSnapshot$", "10000x")
+	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "misar-bench:", err)
-		os.Exit(1)
+		return 2, err
+	}
+	change := &side{label: "change", root: wd}
+	for _, s := range []*side{base, change} {
+		if err := s.build(tmp); err != nil {
+			return 2, err
+		}
 	}
 
-	base := map[string]result{}
-	for _, b := range parse(baselineText) {
-		base[b.Name] = b
-	}
-
-	rep := report{
-		Schema:         "misar-bench/v1",
-		GoVersion:      runtime.Version(),
-		Benchtime:      *benchtime,
-		BaselineCommit: "6fedd5c (seed kernel: container/heap engine, closure-per-hop NoC, unpooled messages)",
-		GeneratedAt:    time.Now().UTC(),
-	}
-	all := append(parse(figOut), parse(simOut)...)
-	all = append(all, parse(obsOut)...)
-	all = append(all, parse(snapOut)...)
-	for _, r := range all {
-		if b, ok := base[r.Name]; ok {
-			r.BaselineNsPerOp = b.NsPerOp
-			if r.NsPerOp > 0 {
-				r.Speedup = b.NsPerOp / r.NsPerOp
+	procs := runtime.GOMAXPROCS(0)
+	cpu := ""
+	for p := 0; p < pairs; p++ {
+		fmt.Fprintf(os.Stderr, "misar-bench: pair %d/%d\n", p+1, pairs)
+		order := []*side{base, change}
+		if p%2 == 1 {
+			order[0], order[1] = change, base
+		}
+		for i := range benchmarks {
+			for _, s := range order {
+				out, err := s.run(i, procs)
+				if err != nil {
+					return 2, err
+				}
+				if m := cpuLine.FindStringSubmatch(out); m != nil {
+					cpu = m[1]
+				}
 			}
-			if b.AllocsPerOp > 0 {
-				r.AllocRatio = r.AllocsPerOp / b.AllocsPerOp
-			}
-			rep.TotalNs += r.NsPerOp
-			rep.BaselineNs += b.NsPerOp
 		}
-		rep.Results = append(rep.Results, r)
 	}
-	if rep.TotalNs > 0 {
-		rep.TotalSpeedup = rep.BaselineNs / rep.TotalNs
-	}
-	rep.WallSeconds = time.Since(start).Seconds()
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
+	table, pass := report(base.samples, change.samples)
+	text := fmt.Sprintf("misar-bench: base %s (%s) vs the working tree, %d alternating pairs\n%s, GOMAXPROCS %d, cpu: %s\n%swall %.1f s\n",
+		rev, strings.TrimSpace(string(commit)), pairs, runtime.Version(), procs, cpu, table, time.Since(start).Seconds())
+	fmt.Print(text)
+	if outPath != "" {
+		if err := os.WriteFile(outPath, []byte(text), 0o644); err != nil {
+			return 2, err
+		}
+	}
+	if !pass {
+		return 1, nil
+	}
+	return 0, nil
+}
+
+func main() {
+	rev := flag.String("base", "HEAD", "git revision to measure the working tree against")
+	out := flag.String("out", "", "also write the report to this file")
+	flag.Parse()
+	code, err := gate(*rev, *out)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "misar-bench:", err)
-		os.Exit(1)
 	}
-	if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "misar-bench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s: %d benchmarks, figure total %.2fs vs baseline %.2fs (%.2fx)\n",
-		*out, len(rep.Results), rep.TotalNs/1e9, rep.BaselineNs/1e9, rep.TotalSpeedup)
-
-	// The flight recorder's acceptance bar: the churn loop with one record
-	// per 4 fired engine events (sync-heavy app runs record denser, one per
-	// 1.7-2.9, since the cores record their sync instructions too; DESIGN.md
-	// §13) must stay within 5% of the identical loop with a nil recorder.
-	// Both variants run back-to-back in one `go test` process so machine
-	// noise largely cancels out of the ratio.
-	bare, flight := find(rep.Results, "EngineChurnBare"), find(rep.Results, "EngineChurnFlight")
-	if bare != nil && flight != nil && bare.NsPerOp > 0 {
-		overhead := 100 * (flight.NsPerOp/bare.NsPerOp - 1)
-		fmt.Printf("flight-recorder overhead on EngineChurn: %.1f%% (limit 5%%)\n", overhead)
-		if overhead > 5 {
-			fmt.Fprintf(os.Stderr, "misar-bench: flight recorder costs %.1f%% on EngineChurn (%.1f vs %.1f ns/op), over the 5%% budget\n",
-				overhead, flight.NsPerOp, bare.NsPerOp)
-			os.Exit(1)
-		}
-	}
-
-	if *against != "" {
-		prevBuf, err := os.ReadFile(*against)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "misar-bench:", err)
-			os.Exit(1)
-		}
-		var prev report
-		if err := json.Unmarshal(prevBuf, &prev); err != nil {
-			fmt.Fprintf(os.Stderr, "misar-bench: %s: %v\n", *against, err)
-			os.Exit(1)
-		}
-		if bad := regressions(rep.Results, prev.Results, *maxRegress); len(bad) > 0 {
-			fmt.Fprintf(os.Stderr, "misar-bench: %d regression(s) against %s:\n", len(bad), *against)
-			for _, line := range bad {
-				fmt.Fprintln(os.Stderr, "  "+line)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("no regressions against %s (limit %.0f%%)\n", *against, *maxRegress)
-	}
-
-	// Second pass: the sharded conservative kernel. Its own report file and
-	// gate, because the numbers are parameterized by shard count and host
-	// parallelism in a way the serial kernel's are not.
-	parStart := time.Now()
-	parBench, err := run(".", "BenchmarkParallel", *benchtime,
-		append(append([]string{}, extra...), "-shards", strconv.Itoa(*shards))...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "misar-bench:", err)
-		os.Exit(1)
-	}
-	parRep := report{
-		Schema:      "misar-bench/parallel/v1",
-		GoVersion:   runtime.Version(),
-		Benchtime:   *benchtime,
-		Shards:      *shards,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Results:     parse(parBench),
-		GeneratedAt: time.Now().UTC(),
-	}
-	for _, r := range parRep.Results {
-		parRep.TotalNs += r.NsPerOp
-	}
-	parRep.WallSeconds = time.Since(parStart).Seconds()
-	buf, err = json.MarshalIndent(parRep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "misar-bench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(*parallelOut, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "misar-bench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s: %d sharded benchmarks at %d shards, GOMAXPROCS=%d, total %.2fs\n",
-		*parallelOut, len(parRep.Results), parRep.Shards, parRep.GOMAXPROCS, parRep.TotalNs/1e9)
-
-	if *againstParallel != "" {
-		prevBuf, err := os.ReadFile(*againstParallel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "misar-bench:", err)
-			os.Exit(1)
-		}
-		var prev report
-		if err := json.Unmarshal(prevBuf, &prev); err != nil {
-			fmt.Fprintf(os.Stderr, "misar-bench: %s: %v\n", *againstParallel, err)
-			os.Exit(1)
-		}
-		if prev.Shards != parRep.Shards || prev.GOMAXPROCS != parRep.GOMAXPROCS {
-			fmt.Fprintf(os.Stderr, "misar-bench: %s was taken at shards=%d GOMAXPROCS=%d; this run is shards=%d GOMAXPROCS=%d — sharded wall-clock is not comparable across those\n",
-				*againstParallel, prev.Shards, prev.GOMAXPROCS, parRep.Shards, parRep.GOMAXPROCS)
-			os.Exit(1)
-		}
-		if bad := regressions(parRep.Results, prev.Results, *maxRegress); len(bad) > 0 {
-			fmt.Fprintf(os.Stderr, "misar-bench: %d regression(s) against %s:\n", len(bad), *againstParallel)
-			for _, line := range bad {
-				fmt.Fprintln(os.Stderr, "  "+line)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("no regressions against %s (limit %.0f%%)\n", *againstParallel, *maxRegress)
-	}
+	os.Exit(code)
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"misar/internal/machine"
 	"misar/internal/stats"
 )
 
@@ -119,43 +118,5 @@ func TestShardedFigureDivergencePinned(t *testing.T) {
 
 	if bytes.Equal(serial.Bytes(), sharded.Bytes()) {
 		t.Fatal("sharded Fig. 5 now matches the serial kernel byte-for-byte; the tie-break divergence has converged — collapse the sharded goldens into the seed golden and update DESIGN.md §14")
-	}
-}
-
-// TestRouteAtInjectionDiverges pins the measured fact that the opt-in
-// route-at-injection NoC model is NOT timing-equivalent to the per-hop
-// reference under contention: eager reservation hands a link to the
-// earlier-injected message even when a later-injected head would reach it
-// first. If this test ever fails, the two models have converged and
-// route-at-injection could become the default — see DESIGN.md "Event
-// kernel". The cheap uncontended figure (Fig. 5 LockAcquire) agrees between
-// models; the contended ones (LockHandoff, CondBroadcast) do not, so the
-// whole Fig. 5 rendering must differ.
-func TestRouteAtInjectionDiverges(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders two Fig. 5 sweeps")
-	}
-	o := Options{Tiles: []int{16, 64}}
-	var ref, rai bytes.Buffer
-
-	tbl, err := NewRunner(runtime.NumCPU()).Fig5(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.Render(&ref)
-
-	r := NewRunner(runtime.NumCPU())
-	r.SetConfigTransform(func(c machine.Config) machine.Config {
-		c.NoC.RouteAtInjection = true
-		return c
-	})
-	tbl, err = r.Fig5(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.Render(&rai)
-
-	if bytes.Equal(ref.Bytes(), rai.Bytes()) {
-		t.Fatal("route-at-injection now matches the per-hop model on contended microbenchmarks; revisit whether it can become the default")
 	}
 }

@@ -1,8 +1,7 @@
 // Package harness defines one runnable experiment per table and figure of
 // the paper's evaluation (§6), plus the ablations listed in DESIGN.md. Each
 // experiment returns a stats.Table whose rows/series match what the paper
-// reports; cmd/misar-fig renders them and bench_test.go wraps them in
-// testing.B benchmarks.
+// reports; cmd/misar-fig renders them and the bench module times them.
 //
 // Experiments execute through a Runner: a worker pool with a memoization
 // cache, so sweeps run in parallel and shared runs (notably the pthread
@@ -70,10 +69,9 @@ func (o Options) appList() ([]workload.App, error) {
 // ShardTransform returns a config transform (see Runner.SetConfigTransform)
 // that runs every compatible simulation on the conservative parallel kernel
 // with the given shard count. Configurations the sharded kernel rejects —
-// Ideal mode's zero-latency sync tables, route-at-injection, fault plans,
-// meshes whose height the shard count does not divide — fall back to the
-// serial kernel, so a whole figure sweep can be flipped with one call and
-// still render. Each shard count is a deterministic pure function of the
+// Ideal mode's zero-latency sync tables, fault plans, meshes whose height
+// the shard count does not divide — fall back to the serial kernel, so a
+// whole figure sweep can be flipped with one call and still render. Each shard count is a deterministic pure function of the
 // configuration, pinned by its own golden file; it is NOT guaranteed to be
 // cycle-identical to the serial kernel under same-cycle contention — see
 // DESIGN.md §14 and TestShardedFigureDivergencePinned for the rationale.

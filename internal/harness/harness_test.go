@@ -142,6 +142,9 @@ func TestAblationsQuick(t *testing.T) {
 	if tab := runFig(t, EntrySweep, o); tab.Rows() != 5 {
 		t.Error("entry sweep rows")
 	}
+	if tab := runFig(t, BloomSweep, o); tab.Rows() != 4 {
+		t.Error("bloom sweep rows")
+	}
 	ftab := runFig(t, Fairness, o)
 	min := cellFloat(t, ftab.Cell(0, 0))
 	max := cellFloat(t, ftab.Cell(0, 1))

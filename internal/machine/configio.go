@@ -76,8 +76,6 @@ func validateSharding(cfg Config) error {
 	case cfg.NoC.Height%k != 0:
 		return fmt.Errorf("machine: %d shards do not divide mesh height %d into row bands",
 			k, cfg.NoC.Height)
-	case cfg.NoC.RouteAtInjection:
-		return fmt.Errorf("machine: route-at-injection reserves remote links eagerly; incompatible with %d shards", k)
 	case cfg.CPU.Mode == cpu.ModeIdeal:
 		return fmt.Errorf("machine: Ideal mode uses zero-latency shared sync tables; incompatible with %d shards", k)
 	case cfg.Fault.Enabled():

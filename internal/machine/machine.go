@@ -311,9 +311,9 @@ func shardMap(tiles, width, height, shards int) []int {
 // hops handed over through the shard group, and every piece of mutable
 // per-tile state (component structs, payload pools, flight rings, metric
 // registries) owned by its tile's shard. Combinations that would share
-// zero-latency mutable state across shards (Ideal mode, fault injection,
-// route-at-injection) panic here; Validate reports them as errors first
-// for configurations arriving from files.
+// zero-latency mutable state across shards (Ideal mode, fault injection)
+// panic here; Validate reports them as errors first for configurations
+// arriving from files.
 func New(cfg Config) *Machine {
 	shards := cfg.ShardCount()
 	var group *sim.ShardGroup

@@ -325,10 +325,6 @@ func TestShardedRejectsIncompatibleConfigs(t *testing.T) {
 	badBands := shardedConfig(16, 3) // 3 does not divide height 4
 	mustPanic("bands", badBands)
 
-	atInj := shardedConfig(16, 2)
-	atInj.NoC.RouteAtInjection = true
-	mustPanic("route-at-injection", atInj)
-
 	faulted := shardedConfig(16, 2)
 	faulted.Fault.SteerRate = 1 << 20
 	mustPanic("fault-injection", faulted)

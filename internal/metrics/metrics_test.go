@@ -37,7 +37,7 @@ func TestNilRegistryResolvesNil(t *testing.T) {
 
 // TestNilInstrumentsZeroAlloc is half of the issue's overhead acceptance
 // criterion: the disabled path must not allocate. The time half is covered
-// by BenchmarkFig5 metered-vs-unmetered in internal/harness.
+// by BenchmarkRunMetered vs BenchmarkRunUnmetered in internal/harness.
 func TestNilInstrumentsZeroAlloc(t *testing.T) {
 	var c *Counter
 	var g *Gauge

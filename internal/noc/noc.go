@@ -13,8 +13,7 @@
 // substitution table).
 //
 // The per-hop walk runs on pooled messages and static event handlers, so
-// steady-state traffic injected with Post allocates nothing. An approximate
-// single-event-per-message model is available via Config.RouteAtInjection.
+// steady-state traffic injected with Post allocates nothing.
 package noc
 
 import (
@@ -31,17 +30,6 @@ type Config struct {
 	LinkLatency   sim.Time // per-hop wire latency in cycles
 	FlitBytes     int      // flit width; message sizes are rounded up
 	LocalLatency  sim.Time // latency for a tile sending to itself
-	// RouteAtInjection opts in to the approximate fast model: the whole XY
-	// route's links are reserved at Send time and a single delivery event is
-	// scheduled, instead of one event per hop with each link reserved when
-	// the head flit reaches it. The two models agree whenever routes are
-	// uncontended, but under contention they diverge: eager reservation
-	// hands a link to the earlier-injected message even when a later-
-	// injected message's head would physically reach it first. The golden
-	// harness measured that divergence at 1–4% on the contended Fig. 5
-	// microbenchmarks (see DESIGN.md "Event kernel"), so the per-hop model
-	// remains the default and the reference.
-	RouteAtInjection bool
 }
 
 // DefaultConfig returns the timing used in the evaluation: a 2-cycle router,
@@ -184,13 +172,10 @@ func New(engine *sim.Engine, cfg Config) *Network {
 // the shard tileShard assigns it, hop events execute on the owning shard's
 // engine, and boundary-crossing hops are handed over through the group.
 // Must be called before any traffic. The group's lookahead must not exceed
-// RouterLatency+LinkLatency (the minimum cross-tile hop), and the
-// approximate route-at-injection model and injection-delay hooks are
-// incompatible with sharding (both touch remote-tile state directly).
+// RouterLatency+LinkLatency (the minimum cross-tile hop), and injection-delay
+// hooks are incompatible with sharding (they touch remote-tile state
+// directly).
 func (n *Network) SetShards(g *sim.ShardGroup, tileShard func(tile int) int) {
-	if n.cfg.RouteAtInjection {
-		panic("noc: RouteAtInjection is incompatible with sharded mode (eager remote link reservation)")
-	}
 	if n.delay != nil {
 		panic("noc: injection-delay hook is incompatible with sharded mode")
 	}
@@ -378,7 +363,8 @@ func routeNowEvent(arg any) {
 	m.net.routeNow(m)
 }
 
-// routeNow reserves the message's path and schedules its delivery.
+// routeNow injects the message: a local delivery, or the first hop of its
+// per-hop walk.
 func (n *Network) routeNow(m *Message) {
 	if m.Src < 0 || m.Src >= n.Tiles() || m.Dst < 0 || m.Dst >= n.Tiles() {
 		panic(fmt.Sprintf("noc: bad route %d->%d", m.Src, m.Dst))
@@ -397,32 +383,8 @@ func (n *Network) routeNow(m *Message) {
 		n.engineAt(m.Src).AtCall(inject+n.cfg.LocalLatency, deliverMsg, m)
 		return
 	}
-	if !n.cfg.RouteAtInjection {
-		m.at = m.Src
-		n.hop(m)
-		return
-	}
-	// Route-at-injection: walk the XY route once, reserving each directed
-	// link in path order, then schedule a single delivery event. This makes
-	// the reservations the per-hop walk would make, but eagerly — under
-	// contention that reorders link grants, so this model is approximate
-	// (see Config.RouteAtInjection).
-	head := inject
-	at := m.Src
-	for at != m.Dst {
-		next, dir := n.nextHop(at, m.Dst)
-		start := head
-		if free := n.linkFree[at][dir]; free > start {
-			start = free
-		}
-		n.linkFree[at][dir] = start + sim.Time(flits)
-		n.linkFlits[at][dir] += uint64(flits)
-		n.stats[0].HopCount++ // route-at-injection is serial-only
-		head = start + n.cfg.RouterLatency + n.cfg.LinkLatency
-		at = next
-	}
-	// Tail arrives flits-1 cycles after the head.
-	n.engine.AtCall(head+sim.Time(flits-1), deliverMsg, m)
+	m.at = m.Src
+	n.hop(m)
 }
 
 // hop reserves the link out of m.at for the head flit, which is ready to

@@ -137,11 +137,6 @@ func TestSetShardsRejectsIncompatibleModes(t *testing.T) {
 	}
 	g := sim.NewShardGroup(2, 3)
 
-	cfg := DefaultConfig(4, 4)
-	cfg.RouteAtInjection = true
-	nAtInj := New(g.Engine(0), cfg)
-	mustPanic("RouteAtInjection+SetShards", func() { nAtInj.SetShards(g, rowShard(4, 4, 2)) })
-
 	nDelay := New(g.Engine(0), DefaultConfig(4, 4))
 	nDelay.SetDelay(func(src, dst int) sim.Time { return 1 })
 	mustPanic("delay+SetShards", func() { nDelay.SetShards(g, rowShard(4, 4, 2)) })

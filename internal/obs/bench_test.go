@@ -7,10 +7,9 @@ import (
 	"misar/internal/sim"
 )
 
-// BenchmarkFlightRecord is the obs-overhead benchmark gated in CI via
-// misar-bench -against/-max-regress: the flight recorder is always on, so
-// its per-event cost must stay a handful of nanoseconds and zero
-// allocations (one ring-slot store, see FlightRecorder.Record).
+// BenchmarkFlightRecord times the recorder's per-event cost, one ring-slot
+// store (see FlightRecorder.Record). The flight recorder is always on, so
+// misar-bench gates it against the base revision.
 func BenchmarkFlightRecord(b *testing.B) {
 	f := NewFlightRecorder(DefaultFlightCapacity)
 	ev := FlightEvent{At: 1, Kind: FMsaReq, Tile: 3, Core: 7, Addr: 0x1000040, Arg: uint32(isa.OpLock)}
@@ -21,27 +20,31 @@ func BenchmarkFlightRecord(b *testing.B) {
 	}
 }
 
-// churnLoop is internal/sim's BenchmarkEngineChurn body with the flight
-// recorder attached: each iteration fires two engine events, so recording
-// every second iteration is one record per 4 fired events. Sync-heavy app
-// runs record denser than that, one flight event per 1.7-2.9 fired engine
-// events (streamcluster/fluidanimate at 8-32 tiles, Engine.Fired vs
-// FlightRecorder.Total, cores' issue/complete records included). f == nil
-// is the bare reference: the nil check is the exact branch real call sites
-// pay.
-func churnLoop(b *testing.B, f *FlightRecorder) {
+func nopCall(any) {}
+
+// newChurnEngine returns an engine whose pool and heap slice are warm.
+func newChurnEngine() *sim.Engine {
 	e := sim.NewEngine()
-	nop := func(any) {}
 	for i := 0; i < 64; i++ {
-		e.AtCall(sim.Time(i), nop, nil)
+		e.AtCall(sim.Time(i), nopCall, nil)
 	}
 	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.AfterCall(3, nop, nil)
-		dead := e.AfterCall(5, nop, nil)
-		e.AfterCall(1, nop, nil)
+	return e
+}
+
+// churn runs n iterations of internal/sim's engine-churn loop with the
+// flight recorder attached: each iteration fires two engine events, so
+// recording every second iteration is one record per 4 fired events.
+// Sync-heavy app runs record denser than that, one flight event per 1.7-2.9
+// fired engine events (streamcluster/fluidanimate at 8-32 tiles,
+// Engine.Fired vs FlightRecorder.Total, cores' issue/complete records
+// included). f == nil is the bare reference: the nil check is the exact
+// branch real call sites pay.
+func churn(e *sim.Engine, f *FlightRecorder, n int) {
+	for i := 0; i < n; i++ {
+		e.AfterCall(3, nopCall, nil)
+		dead := e.AfterCall(5, nopCall, nil)
+		e.AfterCall(1, nopCall, nil)
 		dead.Cancel()
 		e.Step()
 		e.Step()
@@ -51,11 +54,16 @@ func churnLoop(b *testing.B, f *FlightRecorder) {
 	}
 }
 
+func churnLoop(b *testing.B, f *FlightRecorder) {
+	e := newChurnEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	churn(e, f, b.N)
+}
+
 // BenchmarkEngineChurnBare is the reference for the flight-recorder
-// overhead gate: the same loop as BenchmarkEngineChurnFlight with a nil
-// recorder. misar-bench runs the pair back-to-back in one process (so
-// machine noise largely cancels) and fails if the recorder costs more than
-// 5%; -against gates the absolute numbers like every other benchmark.
+// overhead: the same loop as BenchmarkEngineChurnFlight with a nil
+// recorder. misar-bench holds the Flight/Bare median ratio at 5%.
 func BenchmarkEngineChurnBare(b *testing.B)   { churnLoop(b, nil) }
 func BenchmarkEngineChurnFlight(b *testing.B) { churnLoop(b, NewFlightRecorder(DefaultFlightCapacity)) }
 

@@ -57,6 +57,14 @@ func TestFlightRecordZeroAllocs(t *testing.T) {
 	}
 }
 
+// The always-on recorder keeps the engine's churn loop allocation-free.
+func TestEngineChurnFlightZeroAllocs(t *testing.T) {
+	e, f := newChurnEngine(), NewFlightRecorder(DefaultFlightCapacity)
+	if allocs := testing.AllocsPerRun(100, func() { churn(e, f, 10) }); allocs != 0 {
+		t.Fatalf("10 iterations of flight-attached engine churn allocate %.2f times, want 0", allocs)
+	}
+}
+
 func TestFlightEventJSONRoundTrip(t *testing.T) {
 	in := []FlightEvent{
 		{At: 100, Kind: FMsaReq, Tile: 3, Core: 7, Addr: 0x1000040, Arg: uint32(isa.OpLock)},

@@ -32,14 +32,6 @@ type RetryPolicy struct {
 	// hundred milliseconds no matter how long the simulation runs. <= 0
 	// means 30s.
 	AttemptTimeout time.Duration
-	// Hedge, when > 0, races a second attempt on the next replica if the
-	// first has not finished within this delay. Meant for warm lookups
-	// (expected store hits, where the straggler is tail latency, not a
-	// simulation): a cold hedge can run the same simulation twice, bounded
-	// by fleet-wide single-flight on the owner. onEvent may observe
-	// interleaved events from both attempts; the returned terminal event is
-	// the winner's.
-	Hedge time.Duration
 }
 
 func (p RetryPolicy) withDefaults(nodes int) RetryPolicy {
@@ -62,8 +54,7 @@ func (p RetryPolicy) withDefaults(nodes int) RetryPolicy {
 // spreads submissions round-robin, bounds each attempt with an activity
 // watchdog, fails over to the next replica on connection errors, truncated
 // streams, 429s, and 5xx responses, backs off exponentially with jitter
-// (honoring the server's Retry-After), and optionally hedges warm lookups.
-// Deterministic failures — 4xx rejections and jobs that ran and failed —
+// (honoring the server's Retry-After). Deterministic failures — 4xx rejections and jobs that ran and failed —
 // are returned immediately; retrying them elsewhere would reproduce them.
 //
 // Trace identity survives failover: every attempt carries the submission
@@ -97,9 +88,6 @@ func NewFleet(addrs []string, policy RetryPolicy) *Fleet {
 	return f
 }
 
-// Addrs returns the replica addresses in rotation order.
-func (f *Fleet) Addrs() []string { return f.addrs }
-
 // errAttemptTimeout marks an attempt abandoned by the activity watchdog —
 // retryable, unlike a parent-context cancellation.
 var errAttemptTimeout = errors.New("no stream activity within the attempt timeout")
@@ -123,9 +111,9 @@ func Retryable(err error) bool {
 	return true
 }
 
-// Submit posts the job with retry, failover, and (when the policy hedges)
-// hedged attempts, following the winning NDJSON stream to its terminal
-// event. onEvent observes every event of every attempt.
+// Submit posts the job with retry and failover, following the first
+// successful NDJSON stream to its terminal event. onEvent observes every
+// event of every attempt.
 func (f *Fleet) Submit(ctx context.Context, req service.JobRequest, onEvent func(service.JobEvent)) (*service.JobEvent, error) {
 	n := len(f.clients)
 	start := int(f.next.Add(1)-1) % n
@@ -134,14 +122,7 @@ func (f *Fleet) Submit(ctx context.Context, req service.JobRequest, onEvent func
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		idx := (start + attempt) % n
-		var ev *service.JobEvent
-		var err error
-		if f.policy.Hedge > 0 && n > 1 {
-			ev, err = f.hedged(ctx, idx, req, onEvent)
-		} else {
-			ev, err = f.attempt(ctx, idx, req, onEvent)
-		}
+		ev, err := f.attempt(ctx, (start+attempt)%n, req, onEvent)
 		if err == nil {
 			return ev, nil
 		}
@@ -191,56 +172,6 @@ func (f *Fleet) attempt(ctx context.Context, idx int, req service.JobRequest, on
 	return ev, err
 }
 
-// hedged races an attempt on idx against one on the next replica, launched
-// after the hedge delay (or immediately, if the first fails fast). First
-// success wins and cancels the other; if both fail, the first failure is
-// reported.
-func (f *Fleet) hedged(ctx context.Context, idx int, req service.JobRequest, onEvent func(service.JobEvent)) (*service.JobEvent, error) {
-	type outcome struct {
-		ev  *service.JobEvent
-		err error
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan outcome, 2)
-	launch := func(i int) {
-		go func() {
-			ev, err := f.attempt(hctx, i, req, onEvent)
-			ch <- outcome{ev, err}
-		}()
-	}
-	launch(idx)
-	launched, failed := 1, 0
-	var firstErr error
-	hedgeTimer := time.NewTimer(f.policy.Hedge)
-	defer hedgeTimer.Stop()
-	for {
-		select {
-		case o := <-ch:
-			if o.err == nil {
-				return o.ev, nil
-			}
-			failed++
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if launched < 2 {
-				launch((idx + 1) % len(f.clients))
-				launched++
-			} else if failed == launched {
-				return nil, firstErr
-			}
-		case <-hedgeTimer.C:
-			if launched < 2 {
-				launch((idx + 1) % len(f.clients))
-				launched++
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
 // backoff returns the jittered exponential delay before retry `attempt`:
 // uniform in [d/2, d] where d doubles from BaseBackoff up to MaxBackoff, so
 // a refused thundering herd decorrelates instead of re-arriving in phase.
@@ -256,18 +187,4 @@ func (f *Fleet) backoff(attempt int) time.Duration {
 	j := time.Duration(f.rng.Int63n(int64(d/2) + 1))
 	f.rngMu.Unlock()
 	return d/2 + j
-}
-
-// Health returns the first replica health report it can fetch, trying every
-// node in rotation order.
-func (f *Fleet) Health(ctx context.Context) (*service.Health, error) {
-	var lastErr error
-	for _, c := range f.clients {
-		h, err := c.Health(ctx)
-		if err == nil {
-			return h, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("fleet: no replica answered /healthz: %w", lastErr)
 }

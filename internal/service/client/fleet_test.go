@@ -210,39 +210,6 @@ func TestFleetWatchdogAbandonsSilentStream(t *testing.T) {
 	}
 }
 
-// Hedged mode: when the first replica is slow, the hedge fires and the fast
-// replica's result wins.
-func TestFleetHedgedRead(t *testing.T) {
-	slow, _ := ndjsonStub(t, func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(2 * time.Second)
-		healthyStream(w, r)
-	})
-	fast, fastHits := ndjsonStub(t, healthyStream)
-
-	f := NewFleet([]string{slow.URL, fast.URL}, RetryPolicy{
-		MaxAttempts:    2,
-		BaseBackoff:    time.Millisecond,
-		AttemptTimeout: 5 * time.Second,
-		Hedge:          20 * time.Millisecond,
-	})
-	// Pin the rotation so the slow node is tried first.
-	f.next.Store(0)
-	start := time.Now()
-	ev, err := f.Submit(context.Background(), service.JobRequest{App: "x"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Event != "done" {
-		t.Fatalf("event %q", ev.Event)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("hedge did not rescue the slow read: %v", elapsed)
-	}
-	if fastHits.Load() == 0 {
-		t.Error("hedge attempt never reached the fast replica")
-	}
-}
-
 // Parent-context cancellation wins over retries immediately.
 func TestFleetStopsOnParentCancel(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))

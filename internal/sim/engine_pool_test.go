@@ -282,29 +282,48 @@ func TestEventWhenSurvivesRecycle(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineChurn measures the kernel's steady-state schedule/fire/
-// cancel loop. The acceptance bar is 0 allocs/op: every event comes from
-// the pool, and neither the closure-free AtCall path nor Cancel allocates.
-func BenchmarkEngineChurn(b *testing.B) {
+func nopCall(any) {}
+
+// newChurnEngine returns an engine whose pool and heap slice are warm.
+func newChurnEngine() *Engine {
 	e := NewEngine()
-	nop := func(any) {}
-	// Warm the pool and the heap slice.
 	for i := 0; i < 64; i++ {
-		e.AtCall(Time(i), nop, nil)
+		e.AtCall(Time(i), nopCall, nil)
 	}
 	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Two schedules, one cancel, two fires: exercises push, remove, and
-		// popMin against the free list every iteration.
-		e.AfterCall(3, nop, nil)
-		dead := e.AfterCall(5, nop, nil)
-		e.AfterCall(1, nop, nil)
+	return e
+}
+
+// churn runs n iterations of the kernel's steady-state loop: two schedules,
+// one cancel, two fires, which exercise push, remove and popMin against the
+// free list.
+func churn(e *Engine, n int) {
+	for i := 0; i < n; i++ {
+		e.AfterCall(3, nopCall, nil)
+		dead := e.AfterCall(5, nopCall, nil)
+		e.AfterCall(1, nopCall, nil)
 		dead.Cancel()
 		e.Step()
 		e.Step()
 	}
+}
+
+// The kernel's contract: every event comes from the pool, and neither the
+// closure-free AtCall path nor Cancel allocates.
+func TestEngineChurnZeroAllocs(t *testing.T) {
+	e := newChurnEngine()
+	if allocs := testing.AllocsPerRun(100, func() { churn(e, 10) }); allocs != 0 {
+		t.Fatalf("10 iterations of engine churn allocate %.2f times, want 0", allocs)
+	}
+}
+
+// BenchmarkEngineChurn times the loop TestEngineChurnZeroAllocs holds to 0
+// allocs/op.
+func BenchmarkEngineChurn(b *testing.B) {
+	e := newChurnEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	churn(e, b.N)
 }
 
 // BenchmarkEngineChurnClosure measures the compatibility path (closure per

@@ -144,7 +144,7 @@ func (g *ShardGroup) Engines() []*Engine { return g.engines }
 func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
 // Windows returns how many time windows the group has executed — the
-// coordination-overhead metric tracked by misar-bench's parallel suite.
+// coordination-overhead metric the bench module reports as sim.windows.
 func (g *ShardGroup) Windows() uint64 { return g.windows }
 
 // Posted returns how many cross-shard events have been mailed.

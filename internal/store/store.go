@@ -2,8 +2,8 @@
 // durable form of the harness.Runner memo cache. Entries are keyed by the
 // SHA-256 fingerprint of a canonical run key (experiment kind + JSON machine
 // config + library + cycle budget), so any process that rebuilds the same key
-// — misar-fig, misar-bench, misar-served, across restarts — reads the same
-// record.
+// — misar-fig, misar-served, the bench module, across restarts — reads the
+// same record.
 //
 // Durability and corruption model: every record is written to a temp file,
 // fsync'd, and renamed into place, so a crash never leaves a partially
