@@ -26,10 +26,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -220,17 +221,17 @@ func (g *ShardGroup) inject(dst int) {
 		}
 		side[src*k+dst] = box[:0]
 	}
-	if len(buf) > 1 {
-		sort.Slice(buf, func(a, b int) bool {
-			if buf[a].when != buf[b].when {
-				return buf[a].when < buf[b].when
-			}
-			if buf[a].src != buf[b].src {
-				return buf[a].src < buf[b].src
-			}
-			return buf[a].idx < buf[b].idx
-		})
-	}
+	// The key is unique, so the unstable sort has one result; unlike
+	// sort.Slice, it allocates nothing.
+	slices.SortFunc(buf, func(a, b crossRef) int {
+		if c := cmp.Compare(a.when, b.when); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 	for i := range buf {
 		g.engines[dst].AtCall(buf[i].when, buf[i].h, buf[i].arg)
 		buf[i] = crossRef{}
@@ -305,10 +306,8 @@ func (g *ShardGroup) next() (Time, bool) {
 	var t Time
 	ok := false
 	for _, e := range g.engines {
-		if len(e.heap) > 0 {
-			if w := e.heap[0].when; !ok || w < t {
-				t, ok = w, true
-			}
+		if w, pending := e.nextTime(); pending && (!ok || w < t) {
+			t, ok = w, true
 		}
 	}
 	for side := 0; side < 2; side++ {

@@ -269,6 +269,39 @@ func TestShardGroupCountersAndClocks(t *testing.T) {
 	}
 }
 
+// A window that injects mail allocates nothing, so a run's allocations do
+// not grow with its window count. Four tokens bounce between two shards in
+// step, so every window sorts four mailed events.
+func TestShardGroupWindowsDoNotAllocate(t *testing.T) {
+	g := NewShardGroup(2, 3)
+	type token struct{ at int }
+	var bounce Handler
+	bounce = func(arg any) {
+		tk := arg.(*token)
+		src := tk.at
+		tk.at ^= 1
+		g.Post(src, tk.at, g.Engine(src).Now()+3, bounce, tk)
+	}
+	for i := 0; i < 4; i++ {
+		g.Engine(0).AtCall(1, bounce, &token{})
+	}
+	var deadline Time
+	run := func(windows Time) func() {
+		return func() {
+			deadline += 3 * windows
+			if drained, _ := g.RunUntilCheck(deadline, 1, nil); drained {
+				t.Fatal("the bouncing tokens drained")
+			}
+		}
+	}
+	run(64)() // warm the event pools, mailboxes and sort buffers
+	one := testing.AllocsPerRun(20, run(1))
+	many := testing.AllocsPerRun(20, run(256))
+	if many > one {
+		t.Fatalf("a 256-window run allocates %.0f times, a 1-window run %.0f", many, one)
+	}
+}
+
 // waitGoroutines retries because worker goroutines finish their final
 // shutdown increment slightly after RunUntilCheck returns the join.
 func waitGoroutines(t *testing.T, before int) {
