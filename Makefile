@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/harness/... ./internal/sim/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/service/... ./internal/store/... ./internal/fleet/...
+	$(GO) test -race ./internal/harness/... ./internal/sim/... ./internal/cpu/... ./internal/syncrt/... ./internal/metrics/... ./internal/trace/... ./internal/obs/... ./internal/service/... ./internal/store/... ./internal/fleet/...
 
 # bench gates the kernel and layer microbenchmarks of the working tree
 # against HEAD, both measured in this session (10 alternating pairs, medians

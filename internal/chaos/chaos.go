@@ -179,6 +179,9 @@ func RunPlan(seed int64, plan fault.Plan, opt Options) *Outcome {
 	// Go-side holder bookkeeping observes every overlap instantly. It checks
 	// the same property as the invariant checker through an entirely
 	// different mechanism, so a checker bug cannot mask a protocol bug.
+	// Each update follows an Env call that returns only once the thread's
+	// earlier operations committed, so it runs at the simulated instant it
+	// describes (the thread-code rule in cpu.Env's doc).
 	holder := make([]int, nlocks)
 	for i := range holder {
 		holder[i] = -1
@@ -209,6 +212,10 @@ func RunPlan(seed int64, plan fault.Plan, opt Options) *Outcome {
 					v := e.Load(counters[l])
 					e.Compute(uint64(5 + (i*7+k*3)%20))
 					e.Store(counters[l], v+1)
+					// Compute and Store are posted: without this Now the
+					// release below would run before they commit, and an
+					// overlap while they are in flight would go unseen.
+					e.Now()
 					if holder[l] != i {
 						oracle++
 					}

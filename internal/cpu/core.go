@@ -191,7 +191,7 @@ func NewCore(id, tiles int, cfg Config, engine *sim.Engine, l1 *coherence.L1,
 	}
 	c.memDone = func(v uint64) { c.resume(c.cur, v) }
 	c.pollDone = func(v uint64) { c.pollLoaded(c.cur, v) }
-	c.idealDone = func(res isa.Result) { c.resumeSyncResult(c.cur, res) }
+	c.idealDone = func(res isa.Result) { c.resume(c.cur, uint64(res)) }
 	// rmwFn interprets the pending RMW request when the L1 commits it. The
 	// core has one access in flight at a time and the issuing thread stays
 	// blocked until it commits, so pendReq is stable even across a miss.
@@ -250,29 +250,42 @@ func (c *Core) adopt(t *Thread) {
 	t.core = c
 }
 
-// await blocks the kernel until the current thread issues its next request,
-// then dispatches it.
+// await blocks the kernel until the current thread sends its next batch,
+// then issues the batch's first operation.
 func (c *Core) await() {
 	t := c.cur
-	req, ok := <-t.toKernel
-	if !ok {
+	if _, ok := <-t.toKernel; !ok {
 		c.cur = nil
 		t.finish()
 		return
 	}
-	c.dispatch(t, req)
+	t.next = 0
+	c.proceed(t, 0)
 }
 
-// resume delivers a result to the thread and processes its next request —
+// proceed continues the thread after an operation completed with result v:
+// it issues the batch's next operation, in the completion event of the one
+// before, as the thread would have issued it; or, at the end of the batch,
+// it hands v to the thread and waits for its next batch.
+func (c *Core) proceed(t *Thread, v uint64) {
+	if i := t.next; i < len(t.ops) {
+		t.next++
+		c.dispatch(t, t.ops[i])
+		return
+	}
+	t.toThread <- v
+	c.await()
+}
+
+// resume continues the thread after an operation completed with result v —
 // unless a suspension is pending, in which case the thread parks with the
-// result delivered when it is resumed.
+// result delivered (and its batch continued) when it is resumed.
 func (c *Core) resume(t *Thread, v uint64) {
 	if t.wantSuspend {
 		t.park(parkedResult, v)
 		return
 	}
-	t.toThread <- v
-	c.await()
+	c.proceed(t, v)
 }
 
 func (c *Core) dispatch(t *Thread, r threadReq) {
@@ -311,8 +324,7 @@ func (c *Core) pollLoaded(t *Thread, v uint64) {
 	r := &t.reissue
 	switch {
 	case r.until.Holds(v, r.val):
-		t.toThread <- v
-		c.await()
+		c.proceed(t, v)
 	case r.cycles == 0:
 		c.l1.Access(r.addr, coherence.AccLoad, 0, nil, c.pollDone)
 	default:
@@ -461,19 +473,9 @@ func (c *Core) HandleResp(r *corepkg.Resp) {
 		}
 		c.expectGrant[line]++
 	}
-	c.resumeSyncResult(o.t, r.Result)
-}
-
-// resumeSyncResult delivers a sync instruction's result, parking first if a
-// suspension is pending (the instruction completes; the fallback code runs
-// when the thread is scheduled again, per §4.3.2).
-func (c *Core) resumeSyncResult(t *Thread, res isa.Result) {
-	if t.wantSuspend {
-		t.park(parkedResult, uint64(res))
-		return
-	}
-	t.toThread <- uint64(res)
-	c.await()
+	// With a suspension pending the thread parks: the instruction completes
+	// and the fallback code runs when the thread is scheduled again (§4.3.2).
+	c.resume(o.t, uint64(r.Result))
 }
 
 // contextSwitch clears per-thread state a departing thread leaves on the

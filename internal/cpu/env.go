@@ -7,11 +7,16 @@
 // simulation stays deterministic while workload and synchronization-library
 // code reads as ordinary sequential Go.
 //
-// Each operation costs one handoff to the kernel and back, which dominates
-// the simulator's wall time. A spin-wait (Env.Poll) therefore runs on the
-// core: the core issues the loop's loads and pauses itself, making the same
-// engine calls in the same order as the thread-side loop would, and hands
-// control back to the thread once, when the wait ends.
+// A handoff to the kernel and back dominates the simulator's wall time, so
+// the thread makes as few as it can. Compute and Store are posted: their
+// results are never used, so the thread queues them and runs on, and the
+// next request that needs the kernel carries the whole batch in one handoff
+// (at most maxPosted posted operations ride in one batch). The core issues
+// the batch in order, each operation from the completion event of the one
+// before, so the engine sees the same calls in the same order and at the
+// same cycles as with one handoff per operation. A spin-wait (Env.Poll)
+// likewise runs on the core: the core issues the loop's loads and pauses
+// itself and hands control back to the thread once, when the wait ends.
 //
 // Each core runs one thread at a time (the paper's configuration). The
 // scheduler shim supports suspending a thread, resuming it on the same or a
@@ -27,17 +32,28 @@ import (
 	"misar/internal/sim"
 )
 
-// Env is the execution environment a simulated thread sees. All methods
-// block (in simulated time) until the operation commits.
+// Env is the execution environment a simulated thread sees. Operations
+// commit in program order. Compute and Store are posted: they return at
+// once and commit before whatever the thread asks next of the kernel. Every
+// other method first lets the posted operations commit, then blocks (in
+// simulated time) until its own operation commits, so a value it returns
+// reflects everything the thread did before it.
+//
+// Go code between two Env calls runs at the simulated instant of the last
+// call that returned a value, which may be before the thread's posted
+// operations commit. So code that other threads can observe (Go state they
+// share, a checker registration, a fault draw, a flight record) must come
+// after an Env call that orders it: Now() when nothing else does.
 type Env interface {
 	// ThreadID identifies the thread; Core the tile it currently runs on.
 	ThreadID() int
 	Core() int
 	// Now returns the current simulated cycle.
 	Now() sim.Time
-	// Compute advances the thread by a block of computation.
+	// Compute advances the thread by a block of computation (posted).
 	Compute(cycles uint64)
-	// Load/Store access the simulated memory through this core's L1.
+	// Load/Store access the simulated memory through this core's L1; a
+	// Store is posted.
 	Load(a memory.Addr) uint64
 	Store(a memory.Addr, v uint64)
 	// FetchAdd/Swap/CAS are atomic read-modify-writes.
@@ -59,17 +75,21 @@ type Env interface {
 	Sync(op isa.SyncOp, addr memory.Addr, goal int, lock memory.Addr) isa.Result
 	// Metrics returns the machine's metrics registry, or nil when metering
 	// is disabled. Library code resolves instruments through it once at bind
-	// time (a nil registry yields nil, zero-cost instruments).
+	// time (a nil registry yields nil, zero-cost instruments): counters,
+	// max-gauges and histograms sum to the same result in any order.
 	Metrics() *metrics.Registry
 	// Check returns the machine's safety-invariant checker, or nil when
-	// invariant checking is disabled. Same bind-once contract as Metrics:
-	// a nil checker's methods are no-ops.
+	// invariant checking is disabled; a nil checker's methods are no-ops.
+	// A non-nil checker is returned after the posted operations commit, so
+	// fetch it at each use: a registration then lands at the cycle the
+	// thread reached.
 	Check() *fault.Checker
 	// Faults returns the machine's fault injector, or nil when fault
-	// injection is disabled (nil-receiver-safe, like Check).
+	// injection is disabled (nil-receiver-safe; fetch at each use, like
+	// Check).
 	Faults() *fault.Injector
 	// Flight returns the flight recorder of this core's shard, or nil when
-	// none is attached (nil-receiver-safe, like Check).
+	// none is attached (nil-receiver-safe; fetch at each use, like Check).
 	Flight() *obs.FlightRecorder
 }
 
@@ -132,6 +152,11 @@ type threadReq struct {
 	lock   memory.Addr
 }
 
+// maxPosted bounds a thread's batch of posted operations: the batch is sent
+// when it reaches this many, which bounds its memory and makes a thread
+// that only computes still hand control to the kernel.
+const maxPosted = 64
+
 // threadKilled is panicked inside a thread goroutine to unwind it when the
 // machine is torn down mid-run.
 type threadKilled struct{}
@@ -140,21 +165,64 @@ type threadKilled struct{}
 type env struct{ t *Thread }
 
 func (e env) ThreadID() int { return e.t.id }
-func (e env) Core() int     { return e.t.core.id }
-func (e env) Now() sim.Time { return e.t.core.engine.Now() }
+
+func (e env) Core() int {
+	e.flush()
+	return e.t.core.id
+}
+
+func (e env) Now() sim.Time {
+	e.flush()
+	return e.t.core.engine.Now()
+}
 
 func (e env) Metrics() *metrics.Registry { return e.t.core.metrics }
 
-func (e env) Check() *fault.Checker { return e.t.core.check }
+func (e env) Check() *fault.Checker {
+	if e.t.core.check != nil {
+		e.flush()
+	}
+	return e.t.core.check
+}
 
-func (e env) Faults() *fault.Injector { return e.t.core.injector }
+func (e env) Faults() *fault.Injector {
+	if e.t.core.injector != nil {
+		e.flush()
+	}
+	return e.t.core.injector
+}
 
-func (e env) Flight() *obs.FlightRecorder { return e.t.core.flight }
+func (e env) Flight() *obs.FlightRecorder {
+	if e.t.core.flight != nil {
+		e.flush()
+	}
+	return e.t.core.flight // after the flush: the thread may have migrated
+}
 
-// call sends a request to the kernel and blocks until its result arrives.
+// post queues an operation whose result the thread does not use.
+func (e env) post(r threadReq) {
+	e.t.ops = append(e.t.ops, r)
+	if len(e.t.ops) == maxPosted {
+		e.send()
+	}
+}
+
+// flush lets the posted operations commit.
+func (e env) flush() {
+	if len(e.t.ops) > 0 {
+		e.send()
+	}
+}
+
+// call sends the batch with r as its last operation and blocks until r's
+// result arrives.
 func (e env) call(r threadReq) uint64 {
-	e.t.toKernel <- r
-	v, ok := <-e.t.toThread
+	e.t.ops = append(e.t.ops, r)
+	return e.send()
+}
+
+func (e env) send() uint64 {
+	v, ok := e.t.send()
 	if !ok {
 		panic(threadKilled{})
 	}
@@ -165,7 +233,7 @@ func (e env) Compute(cycles uint64) {
 	if cycles == 0 {
 		return
 	}
-	e.call(threadReq{kind: reqCompute, cycles: cycles})
+	e.post(threadReq{kind: reqCompute, cycles: cycles})
 }
 
 func (e env) Load(a memory.Addr) uint64 {
@@ -173,7 +241,7 @@ func (e env) Load(a memory.Addr) uint64 {
 }
 
 func (e env) Store(a memory.Addr, v uint64) {
-	e.call(threadReq{kind: reqStore, addr: a, val: v})
+	e.post(threadReq{kind: reqStore, addr: a, val: v})
 }
 
 func (e env) FetchAdd(a memory.Addr, delta uint64) uint64 {

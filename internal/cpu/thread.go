@@ -16,14 +16,21 @@ const (
 )
 
 // Thread is one simulated software thread: a goroutine exchanging requests
-// and results with the event kernel through a synchronous handoff.
+// and results with the event kernel through a synchronous handoff. One
+// handoff carries a batch: the operations the thread posted since the last
+// one, then (unless the batch only flushes them) the request that needs a
+// result. The thread writes the batch and the kernel reads it, each only
+// while the other waits on the handoff channels, which order the two.
 type Thread struct {
 	id   int
 	core *Core
 	body func(Env)
 
-	toThread chan uint64
-	toKernel chan threadReq
+	toThread chan uint64   // the batch's last result; closed by Kill
+	toKernel chan struct{} // a batch is ready in ops; closed when the body ends
+	ops      []threadReq
+	next     int    // index in ops of the operation the core issues next
+	handoffs uint64 // batches sent
 
 	started bool
 	done    bool
@@ -87,7 +94,7 @@ func (x *Complex) Spawn(id int, body func(Env)) *Thread {
 		id:       id,
 		body:     body,
 		toThread: make(chan uint64),
-		toKernel: make(chan threadReq),
+		toKernel: make(chan struct{}),
 	}
 	x.threads = append(x.threads, t)
 	return t
@@ -108,8 +115,14 @@ func (x *Complex) Start(t *Thread, core int, at sim.Time) {
 		t.onDone = func() { x.running-- }
 		go func() {
 			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(threadKilled); !ok {
+				r := recover()
+				if _, killed := r.(threadKilled); !killed {
+					// The body returned or panicked: its posted operations
+					// still commit, so it ends where its last one completes.
+					if len(t.ops) > 0 {
+						t.send()
+					}
+					if r != nil {
 						t.err = r
 					}
 				}
@@ -119,6 +132,16 @@ func (x *Complex) Start(t *Thread, core int, at sim.Time) {
 		}()
 		c.await()
 	})
+}
+
+// send hands the batch in ops to the kernel and waits for the result of its
+// last operation; ok is false when the machine was torn down meanwhile.
+func (t *Thread) send() (v uint64, ok bool) {
+	t.handoffs++
+	t.toKernel <- struct{}{}
+	v, ok = <-t.toThread
+	t.ops = t.ops[:0]
+	return v, ok
 }
 
 // finish is called by the core when the thread's request channel closes.

@@ -163,16 +163,15 @@ type T struct {
 	swBarrierLat *metrics.Histogram
 	swCondLat    *metrics.Histogram
 
-	// Safety-invariant checker, resolved once at bind time; nil (all methods
-	// no-op) when invariant checking is disabled.
-	check *fault.Checker
-
 	// tm is the thread's transaction context, bound only when lib.TM.
 	tm *tm.Ctx
 }
 
 // Bind creates the per-thread library handle. qnodeArena must give each
-// thread a private cache line for its MCS node; use Arena.QNode.
+// thread a private cache line for its MCS node; use Arena.QNode. Metric
+// instruments are resolved here, once; the safety-invariant checker is
+// fetched through e.Check() at each registration, so the registration lands
+// at the cycle the thread reached, after its posted operations.
 func (l *Lib) Bind(e cpu.Env, qnode memory.Addr) *T {
 	t := &T{
 		E:        e,
@@ -187,7 +186,6 @@ func (l *Lib) Bind(e cpu.Env, qnode memory.Addr) *T {
 		t.swBarrierLat = reg.Histogram("syncrt.sw_barrier_cycles")
 		t.swCondLat = reg.Histogram("syncrt.sw_cond_wait_cycles")
 	}
-	t.check = e.Check()
 	if l.TM {
 		t.tm = tm.New(e, l.TMNoValidate)
 	}
@@ -249,13 +247,13 @@ func (t *T) nextRand() uint64 {
 // the overhead there is two engine-clock reads per fallback — off the
 // hardware fast path entirely.
 func (t *T) timedSwLock(a memory.Addr) {
-	t.check.LockWaiting(a, t.E.ThreadID(), fault.WorldSW)
+	t.E.Check().LockWaiting(a, t.E.ThreadID(), fault.WorldSW)
 	start := t.E.Now()
 	t.swLock(a)
 	// The acquiring CAS has committed and the thread runs synchronously with
 	// the event kernel parked, so this registration is atomic with respect to
 	// every other simulated operation on a.
-	t.check.LockAcquired(a, t.E.ThreadID(), fault.WorldSW)
+	t.E.Check().LockAcquired(a, t.E.ThreadID(), fault.WorldSW)
 	t.swLockLat.Observe(uint64(t.E.Now() - start))
 }
 
@@ -269,7 +267,7 @@ func (t *T) timedSwUnlock(a memory.Addr) {
 	// FAIL response arrived. Pure-software libraries never issue the
 	// instruction, so the thread-side registration is the only one.
 	if !t.lib.UseHW {
-		t.check.LockReleased(a, fault.WorldSW)
+		t.E.Check().LockReleased(a, fault.WorldSW)
 	}
 	start := t.E.Now()
 	t.swUnlock(a)
@@ -283,19 +281,19 @@ func (t *T) timedSwBarrier(b Barrier) {
 }
 
 func (t *T) timedSwCondWait(c Cond, m Mutex) {
-	t.check.CondWaiting(c.Addr, t.E.ThreadID())
+	t.E.Check().CondWaiting(c.Addr, t.E.ThreadID())
 	start := t.E.Now()
 	t.swCondWait(c, m)
 	t.swCondLat.Observe(uint64(t.E.Now() - start))
-	t.check.CondWoken(c.Addr, t.E.ThreadID())
+	t.E.Check().CondWoken(c.Addr, t.E.ThreadID())
 }
 
 func (t *T) timedSwCondWaitNS(c Cond, m Mutex) {
-	t.check.CondWaiting(c.Addr, t.E.ThreadID())
+	t.E.Check().CondWaiting(c.Addr, t.E.ThreadID())
 	start := t.E.Now()
 	t.swCondWaitNS(c, m)
 	t.swCondLat.Observe(uint64(t.E.Now() - start))
-	t.check.CondWoken(c.Addr, t.E.ThreadID())
+	t.E.Check().CondWoken(c.Addr, t.E.ThreadID())
 }
 
 // --- Algorithm 1: Lock / Unlock ---

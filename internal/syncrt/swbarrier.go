@@ -33,7 +33,7 @@ func (t *T) swBarrier(b Barrier) {
 	// Registered before any simulated operation: the arrival must be visible
 	// to the checker before another participant can observe this thread's
 	// count/flag update and release the episode.
-	t.check.BarrierArrive(b.Addr, t.E.ThreadID(), b.Goal, fault.WorldSW)
+	t.E.Check().BarrierArrive(b.Addr, t.E.ThreadID(), b.Goal, fault.WorldSW)
 	t.E.Compute(barrierCallOverhead)
 	switch t.lib.Barrier {
 	case BarrierCentral:
@@ -61,7 +61,7 @@ func (t *T) centralBarrier(b Barrier) {
 		// Every participant registered its arrival before its FetchAdd, so
 		// the checker's episode is complete here — close it before the reset
 		// stores let the next episode begin.
-		t.check.BarrierRelease(b.Addr)
+		t.E.Check().BarrierRelease(b.Addr)
 		t.E.Store(b.Addr, 0)   // reset count for next episode
 		t.E.Store(b.Addr+8, g) // publish release generation
 		return
@@ -116,7 +116,7 @@ func (t *T) tournamentBarrier(b Barrier) {
 		// The champion saw every other participant's arrival flag, so the
 		// checker's episode is complete; close it before the cascade frees
 		// anyone into the next episode.
-		t.check.BarrierRelease(b.Addr)
+		t.E.Check().BarrierRelease(b.Addr)
 	}
 	for k := wonUpTo - 1; k >= 0; k-- {
 		partner := i + 1<<k
@@ -228,7 +228,7 @@ func (t *T) treeBarrier(b Barrier) {
 		// Completed the root: every participant's arrival has been combined
 		// into this thread's final count — close the checker episode before
 		// the cascade frees anyone into the next one.
-		t.check.BarrierRelease(b.Addr)
+		t.E.Check().BarrierRelease(b.Addr)
 	}
 	// Release top-down: wake the spinners of every node this thread
 	// completed; each of them continues the cascade below its own node.

@@ -42,7 +42,6 @@ import (
 	"sort"
 
 	"misar/internal/cpu"
-	"misar/internal/fault"
 	"misar/internal/memory"
 	"misar/internal/metrics"
 	"misar/internal/obs"
@@ -148,10 +147,6 @@ type Ctx struct {
 	noValidate bool // broken variant for checker/model refutation tests
 	rng        uint64
 
-	check  *fault.Checker
-	inj    *fault.Injector
-	flight *obs.FlightRecorder
-
 	commits    *metrics.Counter
 	aborts     *metrics.Counter
 	retries    *metrics.Counter
@@ -169,18 +164,17 @@ type Ctx struct {
 	words  []memory.Addr       // scratch: unique written words, for the checker
 }
 
-// New binds a transaction context to a thread's environment. Instruments,
-// checker, injector, and flight recorder are resolved once here, following
-// the bind-once, nil-safe contract of syncrt.Bind.
+// New binds a transaction context to a thread's environment. Metric
+// instruments are resolved once here, like syncrt.Bind's; the checker, the
+// fault injector and the flight recorder are fetched through e at each use,
+// so every registration, fault draw and flight record lands at the cycle the
+// thread reached, after its posted operations.
 func New(e cpu.Env, noValidate bool) *Ctx {
 	reg := e.Metrics()
 	return &Ctx{
 		e:          e,
 		noValidate: noValidate,
 		rng:        uint64(e.ThreadID())*0x9E3779B97F4A7C15 + 0x1234567,
-		check:      e.Check(),
-		inj:        e.Faults(),
-		flight:     e.Flight(),
 		commits:    reg.Counter("tm.commits"),
 		aborts:     reg.Counter("tm.aborts"),
 		retries:    reg.Counter("tm.retries"),
@@ -227,7 +221,7 @@ func (c *Ctx) TryRead(a memory.Addr) (v uint64, ok bool) {
 	}
 	// Shadow the read now: atomic with the validating (second) lock-word
 	// load just issued — no simulated op separates them.
-	c.check.TMRead(c.e.ThreadID(), a)
+	c.e.Check().TMRead(c.e.ThreadID(), a)
 	// Record for commit-time validation, deduplicating by word. (Two words
 	// sharing a slot record separate entries; re-validating a slot twice is
 	// harmless.)
@@ -272,7 +266,7 @@ func (c *Ctx) TryCommit() bool {
 		// sandwich, so the whole snapshot is consistent at rv — no locks,
 		// no clock bump (TL2's read-only rule).
 		c.active = false
-		c.check.TMCommit(tid, true, nil)
+		c.e.Check().TMCommit(tid, true, nil)
 		c.commits.Inc()
 		c.recordFlight(obs.FTxCommit, 0, 0)
 		return true
@@ -314,14 +308,14 @@ func (c *Ctx) TryCommit() bool {
 		// CAS that just succeeded.
 		for _, w := range c.words {
 			if LockAddr(w) == la {
-				c.check.TMCommitLock(w, tid)
+				c.e.Check().TMCommitLock(w, tid)
 			}
 		}
 	}
 
 	// Fault injection: a forced spurious abort exercises abort-release
 	// under a full lock hold. Rolled once per lock-holding commit attempt.
-	if c.inj.ForceTMAbort() {
+	if c.e.Faults().ForceTMAbort() {
 		c.abortCommit(AbortForced, 0)
 		return false
 	}
@@ -338,7 +332,7 @@ func (c *Ctx) TryCommit() bool {
 		// whole-read-set freshness check (atomic with the FetchAdd above)
 		// agrees. Under noValidate the same call is how the broken variant
 		// gets caught.
-		c.check.TMCommit(tid, false, c.words)
+		c.e.Check().TMCommit(tid, false, c.words)
 	} else {
 		// Validate each read word: its lock slot must be unchanged since
 		// the read — unless we hold it ourselves, in which case compare
@@ -354,9 +348,9 @@ func (c *Ctx) TryCommit() bool {
 				c.abortCommit(AbortValidation, r.word)
 				return false
 			}
-			c.check.TMValidated(tid, r.word)
+			c.e.Check().TMValidated(tid, r.word)
 		}
-		c.check.TMCommit(tid, true, c.words)
+		c.e.Check().TMCommit(tid, true, c.words)
 	}
 
 	// Write back in program order, then release each slot to wv<<1
@@ -372,7 +366,7 @@ func (c *Ctx) TryCommit() bool {
 	for _, l := range c.locked {
 		for _, w := range c.words {
 			if LockAddr(w) == l.lock {
-				c.check.TMCommitUnlock(w, tid)
+				c.e.Check().TMCommitUnlock(w, tid)
 			}
 		}
 		c.e.Store(l.lock, wv<<1)
@@ -398,7 +392,7 @@ func (c *Ctx) ownLock(la memory.Addr) (old uint64, own bool) {
 // selfAbort records an abort detected during the read phase (no locks held).
 func (c *Ctx) selfAbort(reason AbortReason, a memory.Addr) {
 	c.active = false
-	c.check.TMAbort(c.e.ThreadID())
+	c.e.Check().TMAbort(c.e.ThreadID())
 	c.aborts.Inc()
 	c.recordFlight(obs.FTxAbort, a, uint32(reason))
 }
@@ -411,14 +405,14 @@ func (c *Ctx) abortCommit(reason AbortReason, a memory.Addr) {
 	for _, l := range c.locked {
 		for _, w := range c.words {
 			if LockAddr(w) == l.lock {
-				c.check.TMCommitUnlock(w, tid)
+				c.e.Check().TMCommitUnlock(w, tid)
 			}
 		}
 		c.e.Store(l.lock, l.old)
 	}
 	c.locked = c.locked[:0]
 	c.active = false
-	c.check.TMAbort(tid)
+	c.e.Check().TMAbort(tid)
 	c.aborts.Inc()
 	c.recordFlight(obs.FTxAbort, a, uint32(reason))
 }
@@ -478,10 +472,11 @@ func (c *Ctx) nextRand() uint64 {
 
 // recordFlight emits one TM flight event on this core's recorder.
 func (c *Ctx) recordFlight(kind obs.FlightKind, a memory.Addr, arg uint32) {
-	if c.flight == nil {
+	f := c.e.Flight()
+	if f == nil {
 		return
 	}
-	c.flight.Record(obs.FlightEvent{
+	f.Record(obs.FlightEvent{
 		At: c.e.Now(), Kind: kind, Addr: a, Arg: arg,
 		Tile: int16(c.e.Core()), Core: int16(c.e.ThreadID()),
 	})

@@ -901,8 +901,9 @@ func TestBridgeWindowProtocol(t *testing.T) {
 //	commit-lock holders of w's slot, w's lock bit, stale commits]
 //
 // Every capture happens inside the active thread's code with the serial
-// kernel parked, after the step's last simulated op — so the concrete state
-// is exactly the abstract "between rules" instant. rv/ri come from a ledger
+// kernel parked, after the step's last simulated op has committed (Now
+// orders it after any posted Store) — so the concrete state is exactly the
+// abstract "between rules" instant. rv/ri come from a ledger
 // of what each thread's open read of w observed (the lock word at read time)
 // compared against w's current lock word; cl is 0 at every capture (no
 // commit phase spans a step boundary) and cw is 0 because the real protocol
@@ -965,6 +966,7 @@ func TestBridgeTMCommit(t *testing.T) {
 			e.Compute(20)
 		}
 		fn()
+		e.Now()
 		concs = append(concs, capture())
 		e.Store(turn, uint64(k+1))
 	}
